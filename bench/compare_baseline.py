@@ -29,12 +29,8 @@ import tempfile
 # would collide on one key and silently shadow each other).
 KEY_FIELDS = ("class", "algorithm", "mode", "threads", "pool")
 # Latency metrics to diff (higher = worse). Throughput/alloc metrics are
-# reported for information only. ms_per_query_ratio_vs_1shard is a
-# latency *ratio* (multi-shard row vs the same configuration's 1-shard
-# row), so diffing it catches scaling regressions even when absolute
-# latency shifted for machine reasons.
-LATENCY_FIELDS = ("ms_per_query", "warm_ms_per_query", "cold_ms_per_query",
-                  "ms_per_query_ratio_vs_1shard")
+# reported for information only.
+LATENCY_FIELDS = ("ms_per_query", "warm_ms_per_query", "cold_ms_per_query")
 
 
 def row_key(row):

@@ -9,7 +9,6 @@
 //   --algo=mi|si|bidir    algorithm           [default bidir]
 //   --k=N                 answers             [default 5]
 //   --bound=tight|loose   release policy      [default loose]
-//   --shards=N            intra-query shards  [default 1]
 //   --deadline=SECONDS    scheduler deadline  [default none]
 //
 // Exit code: 0 on a kCompleted terminal status, 1 otherwise.
@@ -71,8 +70,6 @@ int main(int argc, char** argv) {
     else if (FlagValue(argv[i], "--k", &v)) options.k = std::stoul(v);
     else if (FlagValue(argv[i], "--bound", &v))
       options.bound = v == "tight" ? BoundMode::kTight : BoundMode::kLoose;
-    else if (FlagValue(argv[i], "--shards", &v))
-      options.shard_count = static_cast<uint32_t>(std::stoul(v));
     else if (FlagValue(argv[i], "--deadline", &v)) deadline = std::stod(v);
     else if (mode.empty()) mode = argv[i];
     else keywords.push_back(argv[i]);

@@ -1,11 +1,13 @@
 #include "banks/engine.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -390,12 +392,42 @@ BatchResult Engine::QueryBatch(const std::vector<BatchQuerySpec>& specs,
   return out;
 }
 
+namespace {
+
+// Rejects a malformed batch before any of it is applied. Weights are
+// checked as the float the graph stores: a double that rounds to 0 or
+// overflows to inf would break the 1/w activation spreading.
+void ValidateBatch(const UpdateBatch& batch, NodeId n_old) {
+  auto reject = [](const char* field, size_t i, const char* what) {
+    std::ostringstream os;
+    os << "UpdateBatch: " << field << "[" << i << "] " << what;
+    throw std::invalid_argument(os.str());
+  };
+  const uint64_t n_new = uint64_t{n_old} + batch.nodes.size();
+  for (size_t i = 0; i < batch.edges.size(); ++i) {
+    const UpdateBatch::NewEdge& e = batch.edges[i];
+    if (e.u >= n_new || e.v >= n_new) {
+      reject("edges", i, "endpoint out of range");
+    }
+    const float w = static_cast<float>(e.weight);
+    if (!(w > 0) || !std::isfinite(w)) {
+      reject("edges", i, "weight is not positive and finite");
+    }
+  }
+  for (size_t i = 0; i < batch.texts.size(); ++i) {
+    if (batch.texts[i].node >= n_new) reject("texts", i, "node out of range");
+  }
+}
+
+}  // namespace
+
 uint64_t Engine::ApplyUpdate(const UpdateBatch& batch, AnswerCache* cache) {
   // One writer at a time: the whole read-overlay-publish sequence is
   // serialized, so each epoch's delta is built against a settled base.
   std::lock_guard<std::mutex> write_lock(live_->write_mu);
   std::shared_ptr<const Snapshot> prev = SnapshotNow();
   const NodeId n_old = prev->data.graph.num_nodes();
+  ValidateBatch(batch, n_old);
 
   // Intern batch node types against the graph's existing names, then
   // against names this batch already appended ("" = untyped).

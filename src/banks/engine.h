@@ -167,7 +167,7 @@ struct BatchResult {
 /// were opened and keep reading it — snapshot isolation — while new
 /// queries see the updated state; search on any snapshot is
 /// byte-identical to a fresh-built engine of the same logical state
-/// (ARCHITECTURE.md, contract 5). Writers serialize against each other;
+/// (ARCHITECTURE.md, contract 4). Writers serialize against each other;
 /// readers never block.
 class Engine {
  public:
@@ -187,15 +187,6 @@ class Engine {
   /// per-query scratch space across a query stream (the second query on
   /// a warm context performs no large allocations); nullptr runs the
   /// query on a fresh context.
-  ///
-  /// Intra-query parallelism rides in on the options:
-  /// SearchOptions::shard_count > 1 splits this one query's frontier
-  /// across worker threads (answers stay byte-identical to
-  /// shard_count = 1), with worker scratch leased from
-  /// SearchOptions::shard_pool. Composes with QueryBatch — batch
-  /// workers parallelize across queries, shard workers within one —
-  /// but on a saturated batch prefer shard_count = 1: cross-query
-  /// parallelism has no coordination overhead.
   SearchResult Query(const std::vector<std::string>& keywords,
                      Algorithm algorithm, const SearchOptions& options = {},
                      SearchContext* context = nullptr) const;
@@ -217,7 +208,7 @@ class Engine {
   ///
   /// The answer sequence pulled from the stream is identical, prefix by
   /// prefix, to the drained Query result for the same arguments, at
-  /// every algorithm × bound mode × shard count.
+  /// every algorithm × bound mode.
   AnswerStream OpenQuery(const std::vector<std::string>& keywords,
                          Algorithm algorithm,
                          const SearchOptions& options = {},
@@ -295,6 +286,12 @@ class Engine {
   /// are invalidated after the publish — the cross-epoch half of cache
   /// correctness (the structure epoch folded into cache keys is the
   /// other half; see AnswerCacheKey).
+  ///
+  /// Throws std::invalid_argument, publishing nothing and leaving
+  /// epoch() unchanged, when the batch is malformed: an edge endpoint
+  /// or a texts[i].node at or beyond the post-update node count, an
+  /// edge weight that is not a positive finite float, or a batch whose
+  /// rebuilt adjacency would overflow the 32-bit delta-run offsets.
   uint64_t ApplyUpdate(const UpdateBatch& batch,
                        AnswerCache* cache = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "storage/buffer_pool.h"
@@ -130,6 +131,37 @@ Graph ApplyGraphDelta(std::shared_ptr<const Graph> base,
     }
   }
 
+  // ---- Delta-run offsets must stay 32-bit ----
+  // A rebuilt run holds the node's whole effective adjacency: its
+  // previous runs plus this batch's forward edges and their derived
+  // backward mirrors. Checked before any run is built, so an oversized
+  // batch is rejected while the caller has published nothing.
+  const auto added = [](const EndpointEdges& edges, NodeId v) -> uint64_t {
+    auto it = edges.find(v);
+    return it == edges.end() ? 0 : it->second.size();
+  };
+  uint64_t out_growth = 0;
+  uint64_t in_growth = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const uint64_t mirrored_out =
+        options.add_backward_edges ? added(new_in, v) : 0;
+    const uint64_t mirrored_in =
+        options.add_backward_edges ? added(new_out, v) : 0;
+    if (rebuild_out[v]) {
+      out_growth += (v < n_old ? prev.OutDegree(v) : 0) + added(new_out, v) +
+                    mirrored_out;
+    }
+    if (rebuild_in[v]) {
+      in_growth += (v < n_old ? prev.InDegree(v) : 0) + added(new_in, v) +
+                   mirrored_in;
+    }
+  }
+  if (g.delta_out_edges_.size() + out_growth > Graph::kNoDeltaRun ||
+      g.delta_in_edges_.size() + in_growth > Graph::kNoDeltaRun) {
+    throw std::invalid_argument(
+        "ApplyGraphDelta: delta runs would overflow 32-bit offsets");
+  }
+
   // ---- Rebuild each changed run in canonical order ----
   // A run is rebuilt from scratch out of the *effective* state: the
   // predecessor's forward edges (read mode-agnostically — base CSR,
@@ -183,7 +215,6 @@ Graph ApplyGraphDelta(std::shared_ptr<const Graph> base,
         }
       }
       std::sort(run.begin(), run.end(), RunLess);
-      assert(g.delta_out_edges_.size() + run.size() <= Graph::kNoDeltaRun);
       g.delta_out_start_[v] =
           static_cast<uint32_t>(g.delta_out_edges_.size());
       g.delta_out_edges_.insert(g.delta_out_edges_.end(), run.begin(),
@@ -232,7 +263,6 @@ Graph ApplyGraphDelta(std::shared_ptr<const Graph> base,
         }
       }
       std::sort(run.begin(), run.end(), RunLess);
-      assert(g.delta_in_edges_.size() + run.size() <= Graph::kNoDeltaRun);
       g.delta_in_start_[v] = static_cast<uint32_t>(g.delta_in_edges_.size());
       g.delta_in_edges_.insert(g.delta_in_edges_.end(), run.begin(),
                                run.end());

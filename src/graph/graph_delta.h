@@ -35,7 +35,7 @@ struct GraphDelta {
 /// logical state — same adjacency in the same canonical order, same
 /// derived backward-edge weights, same per-node scalars bit-for-bit —
 /// which is what makes search-on-snapshot ≡ search-on-fresh-build
-/// byte-identical (ARCHITECTURE.md contract 5).
+/// byte-identical (ARCHITECTURE.md contract 4).
 ///
 /// `base` may itself be an overlay (the previous epoch); the result is
 /// flattened against the ultimate non-overlay graph, so reads never
@@ -48,6 +48,11 @@ struct GraphDelta {
 /// The caller keeps `base` alive through the returned graph's lifetime
 /// (the overlay shares, not copies, the base adjacency); Engine does
 /// this by holding epoch snapshots in shared_ptrs.
+///
+/// Edge endpoints must be < base.num_nodes() + the appended node count
+/// and weights positive (Engine::ApplyUpdate validates both). Throws
+/// std::invalid_argument, before building anything, when the rebuilt
+/// runs would push the delta-run storage past its 32-bit offsets.
 Graph ApplyGraphDelta(std::shared_ptr<const Graph> base,
                       const GraphDelta& delta,
                       const GraphBuildOptions& options);

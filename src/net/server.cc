@@ -120,6 +120,8 @@ struct Server::Conn {
   bool want_write = false;  // EPOLLOUT currently armed
   bool hello_done = false;
   bool closing = false;  // fatal error sent: flush outbuf, then close
+  Timer since_flush;     // restarted when the kernel takes bytes or the
+                         // outbuf turns non-empty: how long it stalled
 
   struct Request {
     std::unique_ptr<SocketSink> sink;
@@ -251,15 +253,23 @@ void Server::Loop() {
         for (auto& [sink, sub] : draining_) sub.Cancel();
       }
       // Second deadline: a reader that stopped reading can keep its
-      // outbuf unflushable forever — force the sockets closed (their
+      // outbuf unflushable forever — force its socket closed (its
       // cancelled tasks finish into draining_ and are waited out below).
+      // A slow reader that still takes bytes keeps its connection, so
+      // its kFinal(kCancelled) arrives behind the answers it is reading.
       if (drain_cancelled &&
-          drain_timer.ElapsedSeconds() >= drain_seconds_.load() + 1.0 &&
-          !conns_.empty()) {
-        std::vector<uint64_t> ids;
-        ids.reserve(conns_.size());
-        for (auto& [id, conn] : conns_) ids.push_back(id);
-        for (uint64_t id : ids) DestroyConn(id);
+          drain_timer.ElapsedSeconds() >= drain_seconds_.load() + 1.0) {
+        std::vector<uint64_t> stalled;
+        for (auto& [id, conn] : conns_) {
+          // Flush first: the socket may have drained while this thread
+          // was not scheduled, which is not the reader's stall.
+          if (!conn->outbuf.empty()) FlushConn(conn.get());
+          if (!conn->outbuf.empty() &&
+              conn->since_flush.ElapsedSeconds() >= 1.0) {
+            stalled.push_back(id);
+          }
+        }
+        for (uint64_t id : stalled) DestroyConn(id);
       }
       bool busy = !draining_.empty();
       for (auto& [id, conn] : conns_) {
@@ -592,18 +602,28 @@ void Server::DrainPending(Conn* conn) {
     std::lock_guard<std::mutex> lock(conn->shared->mu);
     pending.swap(conn->shared->pending);
   }
+  if (conn->outbuf.empty() && !pending.empty()) conn->since_flush.Restart();
   for (OutFrame& frame : pending) conn->outbuf.push_back(std::move(frame));
   if (!conn->outbuf.empty()) FlushConn(conn);
 }
 
 void Server::SweepFinished(Conn* conn) {
   // A request whose terminal OnComplete has returned needs no credit
-  // grants anymore; its remaining frames are already in the outbuf.
-  std::erase_if(conn->requests, [&](auto& kv) {
-    if (!kv.second.sub.finished()) return false;
+  // grants anymore. Its kFinal was queued in the shared pending list
+  // before finished() flipped, so move pending frames to the outbuf
+  // before reaping: otherwise a late kNext for the reaped id would be
+  // answered kUnknownRequest *ahead* of the still-pending kFinal, and
+  // the client would see a completed request end in an error.
+  std::vector<uint64_t> done;
+  for (auto& [id, request] : conn->requests) {
+    if (request.sub.finished()) done.push_back(id);
+  }
+  if (done.empty()) return;
+  DrainPending(conn);
+  for (uint64_t id : done) {
+    conn->requests.erase(id);
     requests_open_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  });
+  }
 }
 
 void Server::FlushConn(Conn* conn) {
@@ -625,6 +645,7 @@ void Server::FlushConn(Conn* conn) {
       return;
     }
     frame.offset += static_cast<size_t>(n);
+    if (n > 0) conn->since_flush.Restart();
     if (frame.offset < frame.bytes.size()) break;  // kernel buffer full
 
     frames_sent_.fetch_add(1, std::memory_order_relaxed);

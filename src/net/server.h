@@ -104,7 +104,9 @@ class Server {
   /// Graceful drain: stop accepting connections and new requests, wait
   /// for in-flight tasks' terminal OnComplete and flush their frames,
   /// then close. Tasks still open after `drain_seconds` are cancelled
-  /// (their clients get kFinal(kCancelled) if the socket still drains).
+  /// (their clients get kFinal(kCancelled) if the socket still drains);
+  /// a second later, connections whose unsent bytes made no progress
+  /// for a second are closed.
   /// Idempotent; also called by the destructor.
   void Shutdown(double drain_seconds = 10.0);
 

@@ -83,7 +83,6 @@ void WriteSearchRequest(WireWriter* w, const SearchRequest& req) {
   w->U64(o.max_answers_generated);
   w->U32(o.bound_check_interval);
   w->U64(o.release_patience);
-  w->U32(o.shard_count);
   w->F64(req.deadline_seconds);
   w->U64(req.initial_credits);
   w->U32(static_cast<uint32_t>(req.keywords.size()));
@@ -114,7 +113,6 @@ bool ReadSearchRequest(WireReader* r, SearchRequest* out) {
   o.max_answers_generated = r->U64();
   o.bound_check_interval = r->U32();
   o.release_patience = r->U64();
-  o.shard_count = r->U32();
   out->deadline_seconds = r->F64();
   out->initial_credits = r->U64();
   size_t n = r->Count(4);  // each keyword is at least its length prefix
@@ -191,9 +189,6 @@ void WriteMetrics(WireWriter* w, const SearchMetrics& m) {
   w->U64(m.propagation_steps);
   w->U64(m.answers_generated);
   w->U64(m.answers_output);
-  w->U64(m.bsp_rounds);
-  w->U64(m.cross_shard_messages);
-  w->U64(m.max_mailbox_depth);
   w->U64(m.page_hits);
   w->U64(m.page_misses);
   w->U64(m.page_waits);
@@ -213,9 +208,6 @@ bool ReadMetrics(WireReader* r, SearchMetrics* out) {
   out->propagation_steps = r->U64();
   out->answers_generated = r->U64();
   out->answers_output = r->U64();
-  out->bsp_rounds = r->U64();
-  out->cross_shard_messages = r->U64();
-  out->max_mailbox_depth = r->U64();
   out->page_hits = r->U64();
   out->page_misses = r->U64();
   out->page_waits = r->U64();

@@ -29,7 +29,7 @@ namespace banks::net {
 /// Connection-level errors (malformed frame, missing Hello) use
 /// request_id 0.
 
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 
 /// First payload word of a Hello request ("BKS1") — rejects random
 /// connects and endianness mismatches before anything else is parsed.
@@ -197,9 +197,8 @@ struct HelloReply {
   std::string server_name;
 };
 
-/// Payload of kQuery / kOpenStream / kSubscribe: the search spec. Only
-/// result-affecting SearchOptions fields plus shard_count travel; the
-/// scratch/thread pools are server-side execution details.
+/// Payload of kQuery / kOpenStream / kSubscribe: the search spec,
+/// carrying every SearchOptions field.
 struct SearchRequest {
   Algorithm algorithm = Algorithm::kBidirectional;
   SearchOptions options;

@@ -57,8 +57,8 @@ struct StreamOptions {
 ///
 /// The contract that keeps streaming honest: the sequence of answers
 /// pulled from a stream is identical, prefix by prefix, to the drained
-/// Engine::Query result for the same query — every algorithm, bound
-/// mode and shard count. Pausing between pulls never changes what the
+/// Engine::Query result for the same query — every algorithm and bound
+/// mode. Pausing between pulls never changes what the
 /// search computes (see StepLimits), so a consumer can stop after the
 /// first answer having paid only the time-to-first-answer, not the full
 /// search.

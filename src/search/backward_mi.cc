@@ -12,8 +12,6 @@
 #include "search/output_heap.h"
 #include "search/scoring.h"
 #include "search/search_context.h"
-#include "search/shard_team.h"
-#include "search/sharding.h"
 #include "search/tree_builder.h"
 #include "util/timer.h"
 
@@ -21,12 +19,6 @@ namespace banks {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Engage the shard team for the per-release frontier-minima sweep /
-// tight-bound scan only past this much work per shard (scheduling
-// choice only; the reductions compute identical values either way).
-constexpr size_t kMinItersPerShard = 64;
-constexpr size_t kMinScanEntriesPerShard = 2048;
 
 }  // namespace
 
@@ -46,30 +38,14 @@ SearchStatus BackwardMISearcher::Resume(
   SliceTimer timer(ss.elapsed);
   const size_t n = origins.size();
 
-  // Scheduler/frontier structures are partitioned into one lane per
-  // worker. Unlike the bidirectional BSP loop, the lane count here is
-  // free to follow shard_count: the iterator schedule is the argmin
-  // over lane heap fronts under the (dist, iter) *total* order, which
-  // is a property of the heap contents alone — any partition (including
-  // a single lane at shard_count 1, which keeps the sequential path
-  // free of per-pop multi-lane scans) replays the identical schedule.
-  const uint32_t num_workers =
-      std::min(std::max<uint32_t>(1, options_.shard_count), kNumLanes);
-  const uint32_t L = num_workers;
-  const ShardPlan plan{L, graph_.num_nodes()};
-  ShardRuntime runtime(num_workers, options_.shard_pool, options_.team_pool);
-
   SearchContext& ctx = *context;
-  if (fresh) ctx.BeginQuery(n, num_workers);
+  if (fresh) ctx.BeginQuery(n);
 
   // One single-source backward shortest-path iterator per keyword node
   // (§3), structure-of-arrays on the context: iterator i owns reach map
   // ctx.reach_maps[i] and the lazy-deletion frontier heap segment
   // ctx.frontiers.Segment(i). Frequent-keyword queries build hundreds of
-  // iterators; on a warm context none of this allocates. An iterator
-  // belongs to the lane owning its origin NodeId — that lane's
-  // scheduler heap carries it, and the worker executing that lane
-  // sweeps it in the batched frontier-minima phase.
+  // iterators; on a warm context none of this allocates.
   std::vector<uint32_t>& iter_keyword = ctx.iter_keyword;
   std::vector<NodeId>& iter_origin = ctx.iter_origin;
   if (fresh) {
@@ -86,9 +62,6 @@ SearchStatus BackwardMISearcher::Resume(
     ctx.EnsureReachMaps(iter_origin.size());
   }
   const uint32_t num_iters = static_cast<uint32_t>(iter_origin.size());
-  auto lane_of_iter = [&](uint32_t it_id) {
-    return plan.ShardOf(iter_origin[it_id]);
-  };
 
   // Per-iterator lazy-deletion min-heap of (dist, node) over the pooled
   // frontier segments, driven by push/pop_heap with the same comparator
@@ -127,54 +100,18 @@ SearchStatus BackwardMISearcher::Resume(
   }
 
   // Scheduler: iterator with the nearest next node steps first. (peek
-  // dist, iter idx) min-heaps over pooled storage, one per lane; the
-  // pair order is already total, so the argmin over lane fronts is
-  // exactly the entry one global heap would pop at any shard count.
+  // dist, iter idx) min-heap over pooled storage; the pair order is
+  // total, so the schedule is a property of the heap contents alone.
   using SchedEntry = SearchContext::ScoredState;
-  std::vector<std::vector<SchedEntry>>& scheduler = ctx.scheduler;
+  std::vector<SchedEntry>& scheduler = ctx.scheduler;
   auto sched_push = [&](double d, uint32_t it_id) {
-    std::vector<SchedEntry>& lane = scheduler[lane_of_iter(it_id)];
-    lane.emplace_back(d, it_id);
-    std::push_heap(lane.begin(), lane.end(), std::greater<>());
+    scheduler.emplace_back(d, it_id);
+    std::push_heap(scheduler.begin(), scheduler.end(), std::greater<>());
   };
-  // Mailbox discipline for scheduler updates: pushes produced while a
-  // pop is in flight stage in ctx.sched_stage (element = target lane)
-  // and apply at the end of the pop in lane order, mirroring the BSP
-  // apply-at-barrier rule. (An iterator only ever re-schedules itself,
-  // so every staged entry is lane-local today — the cross-lane counter
-  // records that invariant as a measured zero.)
-  std::vector<std::vector<SchedEntry>>& sched_stage = ctx.sched_stage;
-  auto staged_sched_push = [&](uint32_t pop_lane, double d, uint32_t it_id) {
-    const uint32_t tl = lane_of_iter(it_id);
-    if (tl != pop_lane) result.metrics.cross_shard_messages++;
-    sched_stage[tl].emplace_back(d, it_id);
-  };
-  auto apply_sched_staged = [&] {
-    for (uint32_t tl = 0; tl < L; ++tl) {
-      if (sched_stage[tl].empty()) continue;
-      if (sched_stage[tl].size() > result.metrics.max_mailbox_depth) {
-        result.metrics.max_mailbox_depth = sched_stage[tl].size();
-      }
-      for (const SchedEntry& e : sched_stage[tl]) sched_push(e.first, e.second);
-      sched_stage[tl].clear();
-    }
-  };
-  // Lane whose front is the global minimum entry, or -1 when empty.
-  auto sched_best_shard = [&]() -> int {
-    int best = -1;
-    for (uint32_t p = 0; p < L; ++p) {
-      if (scheduler[p].empty()) continue;
-      if (best < 0 || scheduler[p].front() < scheduler[best].front()) {
-        best = static_cast<int>(p);
-      }
-    }
-    return best;
-  };
-  auto sched_pop = [&](uint32_t p) -> SchedEntry {
-    std::vector<SchedEntry>& shard = scheduler[p];
-    std::pop_heap(shard.begin(), shard.end(), std::greater<>());
-    SchedEntry top = shard.back();
-    shard.pop_back();
+  auto sched_pop = [&]() -> SchedEntry {
+    std::pop_heap(scheduler.begin(), scheduler.end(), std::greater<>());
+    SchedEntry top = scheduler.back();
+    scheduler.pop_back();
     return top;
   };
   if (fresh) {
@@ -190,44 +127,19 @@ SearchStatus BackwardMISearcher::Resume(
   std::vector<uint32_t>& visit_iter = ctx.visit_iter;
   std::vector<uint32_t>& visit_covered = ctx.visit_covered;
 
-  // Signature-sharded output buffers, merged at every release check.
-  OutputHeap* heaps = ctx.output_heaps.data();
+  OutputHeap& heap = ctx.output_heap;
   uint64_t& steps = ss.steps;
   uint64_t& last_progress = ss.last_progress;  // last step best pending changed
   double& last_top = ss.last_top;              // champion score being aged
 
-  // Frontier minima per keyword for the §4.5 release bound. Each worker
-  // sweeps the iterators of the lanes it executes (peek_dist prunes
-  // stale entries from segments those lanes own) into its slice of the
-  // partial-minima table; the coordinator then min-reduces across
-  // workers. The lazy pruning is per-iterator and deterministic, so who
-  // performs it never shows in the results.
+  // Frontier minima per keyword for the §4.5 release bound (peek_dist
+  // prunes stale entries as it goes; the pruning is deterministic).
   auto frontier_minima = [&](std::vector<double>* m) {
     m->assign(n, kInf);
-    if (runtime.Engage(num_iters, kMinItersPerShard)) {
-      std::vector<double>& partial = ctx.shard_minima;
-      partial.assign(static_cast<size_t>(num_workers) * n, kInf);
-      runtime.Run([&](uint32_t w) {
-        double* mine = partial.data() + static_cast<size_t>(w) * n;
-        for (uint32_t i = 0; i < num_iters; ++i) {
-          if (lane_of_iter(i) != w) continue;
-          double d = peek_dist(i);
-          uint32_t kw = iter_keyword[i];
-          mine[kw] = std::min(mine[kw], d);
-        }
-      });
-      for (uint32_t p = 0; p < num_workers; ++p) {
-        for (uint32_t kw = 0; kw < n; ++kw) {
-          (*m)[kw] =
-              std::min((*m)[kw], partial[static_cast<size_t>(p) * n + kw]);
-        }
-      }
-    } else {
-      for (uint32_t i = 0; i < num_iters; ++i) {
-        double d = peek_dist(i);
-        uint32_t kw = iter_keyword[i];
-        (*m)[kw] = std::min((*m)[kw], d);
-      }
+    for (uint32_t i = 0; i < num_iters; ++i) {
+      double d = peek_dist(i);
+      uint32_t kw = iter_keyword[i];
+      (*m)[kw] = std::min((*m)[kw], d);
     }
   };
 
@@ -279,10 +191,9 @@ SearchStatus BackwardMISearcher::Resume(
       ids[j] = (j == kw) ? iter_id : visit_iter[vidx * n + j];
     }
     if (!build_tree(v, ids) || !ctx.answer_scratch.IsMinimalRooted()) return;
-    uint64_t sig = ctx.answer_scratch.Signature(&ctx.sig_scratch);
-    if (heaps[sig % L].InsertCopy(ctx.answer_scratch, sig)) {
+    if (heap.InsertCopy(ctx.answer_scratch)) {
       result.metrics.answers_generated++;
-      double top = MergedBestPendingScore(heaps, L);
+      double top = heap.BestPendingScore();
       if (top > last_top + 1e-15) {
         last_top = top;
         last_progress = steps;
@@ -292,7 +203,7 @@ SearchStatus BackwardMISearcher::Resume(
 
   std::vector<double>& minima = ctx.bound_scratch;
   auto maybe_release = [&](bool force) {
-    uint64_t interval = options_.bound_check_interval;
+    uint64_t interval = std::max<uint64_t>(1, options_.bound_check_interval);
     if (options_.bound == BoundMode::kTight) {
       interval = std::max<uint64_t>(interval, visits.size() / 8);
     }
@@ -302,57 +213,35 @@ SearchStatus BackwardMISearcher::Resume(
     for (double m : minima) h += m;
     size_t before = result.answers.size();
     if (options_.bound == BoundMode::kImmediate) {
-      MergedDrain(heaps, L, options_.k, &result.answers);
+      heap.Drain(options_.k, &result.answers);
     } else if (options_.bound == BoundMode::kLoose) {
-      MergedReleaseWithEdgeBound(heaps, L, h, options_.k, &result.answers);
+      heap.ReleaseWithEdgeBound(h, options_.k, &result.answers);
       if (options_.release_patience &&
           steps - last_progress >= options_.release_patience &&
-          result.answers.size() < options_.k &&
-          MergedPendingCount(heaps, L) > 0) {
+          result.answers.size() < options_.k && heap.pending_count() > 0) {
         // Staleness drip: the champion has been unbeaten for a while;
         // release a batch of the best pending answers.
-        MergedReleaseBest(heaps, L, std::max<size_t>(1, options_.k / 8),
-                          options_.k, &result.answers);
+        heap.ReleaseBest(std::max<size_t>(1, options_.k / 8), options_.k,
+                         &result.answers);
       }
     } else {
       // NRA-style (§4.5): an unseen root costs at least h = Σ m_i; a
-      // partially visited root may complete each missing keyword at
-      // m_i. Pure min-reduction over the dense visit entries: shard
-      // workers scan contiguous slices.
-      const size_t num_entries = visits.size();
-      auto scan_slice = [&](size_t begin, size_t end) -> double {
-        double best = kInf;
-        for (size_t e = begin; e < end; ++e) {
-          const uint32_t vidx = (visits.begin() + e)->value - 1;
-          double pot = 0;
-          for (size_t i = 0; i < n; ++i) {
-            pot += std::min(visit_dist[vidx * n + i], minima[i]);
-          }
-          best = std::min(best, pot);
-        }
-        return best;
-      };
+      // partially visited root may complete each missing keyword at m_i.
       double best_potential = h;
-      if (runtime.Engage(num_entries, kMinScanEntriesPerShard)) {
-        ctx.nra_partial.assign(num_workers, kInf);
-        runtime.Run([&](uint32_t w) {
-          size_t begin = num_entries * w / num_workers;
-          size_t end = num_entries * (w + 1) / num_workers;
-          ctx.nra_partial[w] = scan_slice(begin, end);
-        });
-        for (double p : ctx.nra_partial) {
-          best_potential = std::min(best_potential, p);
+      for (const auto& entry : visits) {
+        const uint32_t vidx = entry.value - 1;
+        double pot = 0;
+        for (size_t i = 0; i < n; ++i) {
+          pot += std::min(visit_dist[vidx * n + i], minima[i]);
         }
-      } else {
-        best_potential = std::min(best_potential, scan_slice(0, num_entries));
+        best_potential = std::min(best_potential, pot);
       }
       double ub = ScoreUpperBound(best_potential, 1.0, options_.lambda);
-      MergedReleaseWithScoreBound(heaps, L, ub - 1e-12, options_.k,
-                                  &result.answers);
+      heap.ReleaseWithScoreBound(ub - 1e-12, options_.k, &result.answers);
     }
     if (result.answers.size() != before) {
       last_progress = steps;
-      last_top = MergedBestPendingScore(heaps, L);
+      last_top = heap.BestPendingScore();
     }
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
@@ -365,8 +254,7 @@ SearchStatus BackwardMISearcher::Resume(
   const SliceGuard slice(limits, &ss, &timer);
 
   for (;;) {
-    int p = sched_best_shard();
-    if (p < 0 || result.answers.size() >= options_.k) break;
+    if (scheduler.empty() || result.answers.size() >= options_.k) break;
     if (options_.max_nodes_explored &&
         result.metrics.nodes_explored >= options_.max_nodes_explored) {
       result.metrics.budget_exhausted = true;
@@ -392,7 +280,7 @@ SearchStatus BackwardMISearcher::Resume(
           SearchContext::StreamState::kMaxPageFaultRetries) {
         ctx.stream.page_fault_retries = 0;
       } else {
-        const auto [head_dist, head_iter] = scheduler[p].front();
+        const auto [head_dist, head_iter] = scheduler.front();
         const double head_actual = peek_dist(head_iter);
         if (head_actual != kInf && head_actual <= head_dist + 1e-12) {
           const NodeId head_node =
@@ -406,14 +294,11 @@ SearchStatus BackwardMISearcher::Resume(
         ctx.stream.page_fault_retries = 0;
       }
     }
-    auto [sched_dist, iter_id] = sched_pop(static_cast<uint32_t>(p));
-    const uint32_t pop_lane = static_cast<uint32_t>(p);
+    auto [sched_dist, iter_id] = sched_pop();
     double actual = peek_dist(iter_id);
     if (actual == kInf) continue;  // exhausted iterator
     if (actual > sched_dist + 1e-12) {
-      // Stale entry; re-schedule through the staging discipline.
-      staged_sched_push(pop_lane, actual, iter_id);
-      apply_sched_staged();
+      sched_push(actual, iter_id);  // stale entry; re-schedule
       continue;
     }
 
@@ -429,7 +314,6 @@ SearchStatus BackwardMISearcher::Resume(
     rv.settled = true;
     const uint32_t v_hops = rv.hops;
     result.metrics.nodes_explored++;
-    result.metrics.bsp_rounds++;  // one settled step per round (§3 argmin)
     steps++;
 
     // Record the visit and emit any completed combinations.
@@ -455,13 +339,8 @@ SearchStatus BackwardMISearcher::Resume(
       uint32_t next_hops = v_hops + 1;
       PagePin pin;
       std::span<const Edge> in_edges = graph_.InEdges(v, &pin);
-      if (pin.failed()) {
-        ++result.metrics.io_errors;
-        return slice.IoError();
-      }
-      if (!pin.empty()) {
-        ++(pin.hit() ? result.metrics.page_hits : result.metrics.page_misses);
-      }
+      // A failed read would expand a partial neighbourhood.
+      if (!slice.BookPin(pin)) return slice.IoError();
       for (const Edge& e : in_edges) {
         if (!EdgeAllowed(e)) continue;
         result.metrics.edges_relaxed++;
@@ -479,8 +358,7 @@ SearchStatus BackwardMISearcher::Resume(
       }
     }
     double nxt = peek_dist(iter_id);
-    if (nxt != kInf) staged_sched_push(pop_lane, nxt, iter_id);
-    apply_sched_staged();
+    if (nxt != kInf) sched_push(nxt, iter_id);
 
     maybe_release(false);
   }
@@ -488,7 +366,7 @@ SearchStatus BackwardMISearcher::Resume(
   maybe_release(true);
   if (result.answers.size() < options_.k) {
     size_t before = result.answers.size();
-    MergedDrain(heaps, L, options_.k, &result.answers);
+    heap.Drain(options_.k, &result.answers);
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
       result.metrics.output_times.push_back(timer.ElapsedSeconds());

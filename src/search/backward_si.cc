@@ -10,8 +10,6 @@
 #include "search/output_heap.h"
 #include "search/scoring.h"
 #include "search/search_context.h"
-#include "search/shard_team.h"
-#include "search/sharding.h"
 #include "search/tree_builder.h"
 #include "util/timer.h"
 
@@ -19,10 +17,6 @@ namespace banks {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Engage the shard team for the tight-bound scan only past this many
-// reached nodes per shard (scheduling choice only; values identical).
-constexpr size_t kMinScanEntriesPerShard = 2048;
 
 }  // namespace
 
@@ -41,22 +35,9 @@ SearchStatus BackwardSISearcher::Resume(
   SliceTimer timer(ss.elapsed);
   const size_t n = origins.size();
 
-  // Frontier structures are partitioned into one lane per worker.
-  // Unlike the bidirectional BSP loop, the lane count here is free to
-  // follow shard_count: the pop order is the argmin over lane heap
-  // fronts under a lexicographic *total* order, which is a property of
-  // the frontier contents alone — any partition (including a single
-  // lane at shard_count 1, which keeps the sequential path free of
-  // per-pop multi-lane scans) replays the identical pop order.
-  const uint32_t num_workers =
-      std::min(std::max<uint32_t>(1, options_.shard_count), kNumLanes);
-  const uint32_t L = num_workers;
-  const ShardPlan plan{L, graph_.num_nodes()};
-  ShardRuntime runtime(num_workers, options_.shard_pool, options_.team_pool);
-
   SearchContext& ctx = *context;
   if (fresh) {
-    ctx.BeginQuery(n, num_workers);
+    ctx.BeginQuery(n);
     // reach_maps[i] maps node → best path to the nearest origin of
     // keyword i (BackwardReach records, pooled flat tables in the
     // context).
@@ -68,66 +49,24 @@ SearchStatus BackwardSISearcher::Resume(
   // Shared frontier: (dist, node, keyword), smallest first under a
   // *lexicographic* order ("its backward iterator is prioritized only by
   // distance", §4.6 — the node/keyword tie-break never changes which
-  // distance pops, it pins WHICH entry does, so the frontier can be
-  // partitioned by NodeId lane: the argmin over per-lane heap fronts is
-  // the exact entry a single heap would pop). Pooled per-lane min-heap
-  // storage on the context, driven by push/pop_heap.
+  // distance pops, it pins WHICH entry does, so the pop order is a
+  // property of the frontier contents alone). Pooled min-heap storage on
+  // the context, driven by push/pop_heap.
   using QE = SearchContext::SIFrontierEntry;
-  std::vector<std::vector<QE>>& frontier = ctx.si_frontier;
+  std::vector<QE>& frontier = ctx.si_frontier;
   auto qe_after = [](const QE& a, const QE& b) {
     if (a.dist != b.dist) return a.dist > b.dist;
     if (a.node != b.node) return a.node > b.node;
     return a.keyword > b.keyword;
   };
   auto frontier_push = [&](QE e) {
-    std::vector<QE>& lane = frontier[plan.ShardOf(e.node)];
-    lane.push_back(e);
-    std::push_heap(lane.begin(), lane.end(), qe_after);
+    frontier.push_back(e);
+    std::push_heap(frontier.begin(), frontier.end(), qe_after);
   };
-  // Mailbox discipline for frontier updates: during one settled pop,
-  // pushes whose target lane differs from the popping lane are staged
-  // (ctx.si_stage, element = target lane) and applied at the end of the
-  // pop in lane order — the shared-frontier equivalent of the BSP
-  // apply-at-barrier rule, and what the cross-shard message metrics
-  // count. Result-neutral: the frontier is consulted only between pops,
-  // and the lexicographic total order makes the heap front a property
-  // of the contents alone.
-  std::vector<std::vector<QE>>& stage = ctx.si_stage;
-  auto staged_push = [&](uint32_t pop_lane, QE e) {
-    const uint32_t tl = plan.ShardOf(e.node);
-    if (tl == pop_lane) {
-      frontier_push(e);
-      return;
-    }
-    result.metrics.cross_shard_messages++;
-    stage[tl].push_back(e);
-  };
-  auto apply_staged = [&] {
-    for (uint32_t tl = 0; tl < L; ++tl) {
-      if (stage[tl].empty()) continue;
-      if (stage[tl].size() > result.metrics.max_mailbox_depth) {
-        result.metrics.max_mailbox_depth = stage[tl].size();
-      }
-      for (const QE& e : stage[tl]) frontier_push(e);
-      stage[tl].clear();
-    }
-  };
-  // Lane whose front is the global minimum entry, or -1 when empty.
-  auto best_shard = [&]() -> int {
-    int best = -1;
-    for (uint32_t p = 0; p < L; ++p) {
-      if (frontier[p].empty()) continue;
-      if (best < 0 || qe_after(frontier[best].front(), frontier[p].front())) {
-        best = static_cast<int>(p);
-      }
-    }
-    return best;
-  };
-  auto frontier_pop = [&](uint32_t p) -> QE {
-    std::vector<QE>& shard = frontier[p];
-    std::pop_heap(shard.begin(), shard.end(), qe_after);
-    QE top = shard.back();
-    shard.pop_back();
+  auto frontier_pop = [&]() -> QE {
+    std::pop_heap(frontier.begin(), frontier.end(), qe_after);
+    QE top = frontier.back();
+    frontier.pop_back();
     return top;
   };
 
@@ -136,8 +75,7 @@ SearchStatus BackwardSISearcher::Resume(
   // covered-count table for this algorithm).
   FlatHashMap<NodeId, uint32_t>& covered = ctx.node_index;
 
-  // Signature-sharded output buffers, merged at every release check.
-  OutputHeap* heaps = ctx.output_heaps.data();
+  OutputHeap& heap = ctx.output_heap;
   uint64_t& steps = ss.steps;
   uint64_t& last_progress = ss.last_progress;  // last step best pending changed
   double& last_top = ss.last_top;              // champion score being aged
@@ -194,10 +132,9 @@ SearchStatus BackwardSISearcher::Resume(
     const uint32_t* cit = covered.Find(v);
     if (cit == nullptr || *cit < n) return;
     if (!build_tree(v) || !ctx.answer_scratch.IsMinimalRooted()) return;
-    uint64_t sig = ctx.answer_scratch.Signature(&ctx.sig_scratch);
-    if (heaps[sig % L].InsertCopy(ctx.answer_scratch, sig)) {
+    if (heap.InsertCopy(ctx.answer_scratch)) {
       result.metrics.answers_generated++;
-      double top = MergedBestPendingScore(heaps, L);
+      double top = heap.BestPendingScore();
       if (top > last_top + 1e-15) {
         last_top = top;
         last_progress = steps;
@@ -214,73 +151,46 @@ SearchStatus BackwardSISearcher::Resume(
   }
 
   auto maybe_release = [&](bool force) {
-    uint64_t interval = options_.bound_check_interval;
+    uint64_t interval = std::max<uint64_t>(1, options_.bound_check_interval);
     if (options_.bound == BoundMode::kTight) {
       interval = std::max<uint64_t>(interval, covered.size() / 8);
     }
     if (!force && (steps % interval) != 0) return;
     // Coarse §4.5 bound: the global frontier minimum lower-bounds every
-    // m_i (the paper's "coarser approximation") — the min over the
-    // per-lane heap fronts.
-    double m = kInf;
-    for (uint32_t p = 0; p < L; ++p) {
-      if (!frontier[p].empty()) m = std::min(m, frontier[p].front().dist);
-    }
+    // m_i (the paper's "coarser approximation").
+    const double m = frontier.empty() ? kInf : frontier.front().dist;
     double h = m * static_cast<double>(n);
     size_t before = result.answers.size();
     if (options_.bound == BoundMode::kImmediate) {
-      MergedDrain(heaps, L, options_.k, &result.answers);
+      heap.Drain(options_.k, &result.answers);
     } else if (options_.bound == BoundMode::kLoose) {
-      MergedReleaseWithEdgeBound(heaps, L, h, options_.k, &result.answers);
+      heap.ReleaseWithEdgeBound(h, options_.k, &result.answers);
       if (options_.release_patience &&
           steps - last_progress >= options_.release_patience &&
-          result.answers.size() < options_.k &&
-          MergedPendingCount(heaps, L) > 0) {
+          result.answers.size() < options_.k && heap.pending_count() > 0) {
         // Staleness drip: the champion has been unbeaten for a while;
         // release a batch of the best pending answers.
-        MergedReleaseBest(heaps, L, std::max<size_t>(1, options_.k / 8),
-                          options_.k, &result.answers);
+        heap.ReleaseBest(std::max<size_t>(1, options_.k / 8), options_.k,
+                         &result.answers);
       }
     } else {
       // NRA-style (§4.5): partially reached nodes may complete each
-      // missing keyword at cost m. Pure min-reduction over the dense
-      // covered entries: shard workers scan contiguous slices.
-      const size_t num_entries = covered.size();
-      auto scan_slice = [&](size_t begin, size_t end) -> double {
-        double best = kInf;
-        for (size_t e = begin; e < end; ++e) {
-          const NodeId v = (covered.begin() + e)->key;
-          double pot = 0;
-          for (uint32_t i = 0; i < n; ++i) {
-            const BackwardReach* it = reach(i).Find(v);
-            double d = (it == nullptr) ? kInf : it->dist;
-            pot += std::min(d, m);
-          }
-          best = std::min(best, pot);
-        }
-        return best;
-      };
+      // missing keyword at cost m.
       double best_potential = h;
-      if (runtime.Engage(num_entries, kMinScanEntriesPerShard)) {
-        ctx.nra_partial.assign(num_workers, kInf);
-        runtime.Run([&](uint32_t w) {
-          size_t begin = num_entries * w / num_workers;
-          size_t end = num_entries * (w + 1) / num_workers;
-          ctx.nra_partial[w] = scan_slice(begin, end);
-        });
-        for (double p : ctx.nra_partial) {
-          best_potential = std::min(best_potential, p);
+      for (const auto& entry : covered) {
+        double pot = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+          const BackwardReach* it = reach(i).Find(entry.key);
+          pot += std::min(it == nullptr ? kInf : it->dist, m);
         }
-      } else {
-        best_potential = std::min(best_potential, scan_slice(0, num_entries));
+        best_potential = std::min(best_potential, pot);
       }
       double ub = ScoreUpperBound(best_potential, 1.0, options_.lambda);
-      MergedReleaseWithScoreBound(heaps, L, ub - 1e-12, options_.k,
-                                  &result.answers);
+      heap.ReleaseWithScoreBound(ub - 1e-12, options_.k, &result.answers);
     }
     if (result.answers.size() != before) {
       last_progress = steps;
-      last_top = MergedBestPendingScore(heaps, L);
+      last_top = heap.BestPendingScore();
     }
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
@@ -293,8 +203,7 @@ SearchStatus BackwardSISearcher::Resume(
   const SliceGuard slice(limits, &ss, &timer);
 
   for (;;) {
-    int p = best_shard();
-    if (p < 0 || result.answers.size() >= options_.k) break;
+    if (frontier.empty() || result.answers.size() >= options_.k) break;
     if (options_.max_nodes_explored &&
         result.metrics.nodes_explored >= options_.max_nodes_explored) {
       result.metrics.budget_exhausted = true;
@@ -319,7 +228,7 @@ SearchStatus BackwardSISearcher::Resume(
           SearchContext::StreamState::kMaxPageFaultRetries) {
         ctx.stream.page_fault_retries = 0;
       } else {
-        const QE& head = frontier[p].front();
+        const QE& head = frontier.front();
         const BackwardReach* hr = reach(head.keyword).Find(head.node);
         const bool will_expand = hr != nullptr && !hr->settled &&
                                  head.dist <= hr->dist + 1e-12 &&
@@ -331,12 +240,11 @@ SearchStatus BackwardSISearcher::Resume(
         ctx.stream.page_fault_retries = 0;
       }
     }
-    QE top = frontier_pop(static_cast<uint32_t>(p));
+    QE top = frontier_pop();
     BackwardReach& r = reach(top.keyword)[top.node];
     if (r.settled || top.dist > r.dist + 1e-12) continue;  // stale entry
     r.settled = true;
     result.metrics.nodes_explored++;
-    result.metrics.bsp_rounds++;  // one settled pop per round (§4.6 argmin)
     steps++;
 
     if (r.hops < options_.dmax) {
@@ -345,16 +253,10 @@ SearchStatus BackwardSISearcher::Resume(
       const uint32_t next_hops = r.hops + 1;
       const double base = r.dist;
       const NodeId matched = r.matched;
-      const uint32_t pop_lane = static_cast<uint32_t>(p);
       PagePin pin;
       std::span<const Edge> in_edges = graph_.InEdges(top.node, &pin);
-      if (pin.failed()) {
-        ++result.metrics.io_errors;
-        return slice.IoError();
-      }
-      if (!pin.empty()) {
-        ++(pin.hit() ? result.metrics.page_hits : result.metrics.page_misses);
-      }
+      // A failed read would expand a partial neighbourhood.
+      if (!slice.BookPin(pin)) return slice.IoError();
       for (const Edge& e : in_edges) {
         if (!EdgeAllowed(e)) continue;
         result.metrics.edges_relaxed++;
@@ -372,11 +274,10 @@ SearchStatus BackwardSISearcher::Resume(
             covered[u]++;
             result.metrics.nodes_touched++;
           }
-          staged_push(pop_lane, QE{nd, u, top.keyword});
+          frontier_push(QE{nd, u, top.keyword});
           try_emit(u);
         }
       }
-      apply_staged();
     }
     maybe_release(false);
   }
@@ -384,7 +285,7 @@ SearchStatus BackwardSISearcher::Resume(
   maybe_release(true);
   if (result.answers.size() < options_.k) {
     size_t before = result.answers.size();
-    MergedDrain(heaps, L, options_.k, &result.answers);
+    heap.Drain(options_.k, &result.answers);
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
       result.metrics.output_times.push_back(timer.ElapsedSeconds());

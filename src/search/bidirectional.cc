@@ -1,12 +1,8 @@
 #include "search/bidirectional.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <exception>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -15,8 +11,6 @@
 #include "search/output_heap.h"
 #include "search/scoring.h"
 #include "search/search_context.h"
-#include "search/shard_team.h"
-#include "search/sharding.h"
 #include "search/tree_builder.h"
 #include "util/indexed_heap.h"
 #include "util/timer.h"
@@ -26,51 +20,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint32_t kNoState = UINT32_MAX;
-
-// Outcome of one parallel candidate build (materialization batch). The
-// sequential accept pass replays the guards of the one-at-a-time
-// materialize in this order: improvement pre-check (kSkip = failed),
-// watermark (sequential only — it depends on earlier accepts), then
-// last_eraw commit, then the build outcome.
-constexpr uint8_t kCandSkip = 0;       // eraw does not improve the root
-constexpr uint8_t kCandWalkFail = 1;   // stale sp chain; commit eraw only
-constexpr uint8_t kCandBuildFail = 2;  // union build / minimality failed
-constexpr uint8_t kCandReady = 3;      // tree staged in cand_trees
-
-// Engage the shard team for the *tail* phases (post-loop force release)
-// only when there is enough work to amortize the wake-up. Purely a
-// scheduling choice: the same values are computed either way.
-constexpr size_t kMinCandidatesPerShard = 2;
-constexpr size_t kMinScanStatesPerShard = 2048;
-
-// A lane pops this round iff its best frontier activation is at least
-// this fraction of the global best. The global-best lane always
-// qualifies, so every round pops at least one node and the loop makes
-// progress; lanes holding only low-priority work sit the round out, so
-// the pop set tracks the paper's activation prioritization instead of
-// blindly popping one node per lane. A query constant: the pop set is a
-// deterministic function of the round-start frontier.
-constexpr double kLanePopFraction = 0.5;
-
-// Per-round coordinator→worker control block. Written only by worker 0
-// in its sequential sections, each of which ends at a barrier before
-// any other worker reads; the round-entry barrier closes the reverse
-// window (every read of round R's fields precedes the round-R+1
-// rewrite). The barriers' release/acquire pairs are the only
-// synchronization these plain fields need.
-struct RoundFlags {
-  bool stop = false;       // leave the round loop (B_control)
-  bool paused = false;     // stop was a streaming pause, not termination
-  bool page_wait = false;  // stop was a paged-graph page fault (kPageWait)
-  bool cascade = false;   // current mailbox bank still holds messages
-  bool do_release = false;  // this round crossed a release-check boundary
-  size_t build_batch = 0;   // dirty roots staged for the build phase
-  // Metric bases frozen at round start: every root marked during the
-  // round reports the same explored/touched-at-generation, making the
-  // bookkeeping independent of intra-round lane order.
-  uint64_t explored_base = 0;
-  uint64_t touched_base = 0;
-};
 
 }  // namespace
 
@@ -83,34 +32,22 @@ SearchStatus BidirectionalSearcher::Resume(
   const bool fresh = start == SliceStart::kFresh;
 
   // The whole control state of the search lives in the stream state;
-  // everything below it (frontiers, per-state arrays, mailboxes, output
-  // buffers) lives in the context pools. A resumed slice re-binds the
-  // references and lambdas — cheap — and continues the round loop
-  // exactly at the round boundary where the previous slice paused (the
-  // only place a pause can land, so all mailboxes are empty here).
+  // everything below it (frontiers, per-state arrays, output buffer)
+  // lives in the context pools. A resumed slice re-binds the references
+  // and lambdas — cheap — and continues the loop exactly where the
+  // previous slice paused (always between two complete expansions).
   SearchResult& result = ss.result;
   SliceTimer timer(ss.elapsed);
   const uint32_t n = static_cast<uint32_t>(origins.size());
 
-  // ---- Lanes and workers --------------------------------------------------
-  // The search state is partitioned into kNumLanes fixed lanes (see
-  // sharding.h for the BSP round structure and the determinism
-  // contract). shard_count picks only how many worker threads execute
-  // the lanes: W == 1 runs them sequentially through the identical code
-  // path, so every shard count produces byte-identical answers.
-  const uint32_t L = kNumLanes;
-  const uint32_t num_workers =
-      std::min(std::max<uint32_t>(1, options_.shard_count), kNumLanes);
-  const LanePlan plan = LanePlan::ForNodes(graph_.num_nodes());
-  ShardRuntime runtime(num_workers, options_.shard_pool, options_.team_pool);
-
   // ---- State storage (pooled in the reusable context) ---------------------
   // Per-state bookkeeping is structure-of-arrays: parallel flat vectors
-  // indexed by global state index (discovery order). The arrays grow
-  // only in the coordinator's sequential discovery pass, so parallel
-  // phases read them without ever racing a reallocation.
+  // indexed by state index (discovery order). The explore loop below
+  // only ever touches the arrays it reads — popping a node reads
+  // node/depth/flags without dragging the materialization bookkeeping
+  // through the cache.
   SearchContext& ctx = *context;
-  if (fresh) ctx.BeginQuery(n, num_workers);
+  if (fresh) ctx.BeginQuery(n);
   std::vector<NodeId>& node_of = ctx.node;
   std::vector<uint32_t>& depth_of = ctx.depth;
   std::vector<uint8_t>& flags_of = ctx.state_flags;
@@ -120,10 +57,8 @@ SearchStatus BidirectionalSearcher::Resume(
   std::vector<double>& act = ctx.act;          // per-keyword activation
   std::vector<double>& act_sum = ctx.act_sum;  // per-state total (queue key)
 
-  // Discovery: coordinator-only (sequential sections), so first-message
-  // order — which is deterministic — decides a new state's depth.
   auto get_state = [&](NodeId v, uint32_t depth) -> uint32_t {
-    uint32_t& slot = ctx.node_shard_index[plan.LaneOf(v)][v];
+    uint32_t& slot = ctx.node_index[v];
     if (slot != 0) return slot - 1;  // stored index + 1; 0 means new
     uint32_t idx = static_cast<uint32_t>(node_of.size());
     slot = idx + 1;
@@ -148,23 +83,16 @@ SearchStatus BidirectionalSearcher::Resume(
   auto a_at = [&](uint32_t s, uint32_t i) -> double& { return act[s * n + i]; };
 
   // ---- Queues and frontier bookkeeping -----------------------------------
-  // One heap per lane; a state lives in the heaps of the lane owning
-  // its NodeId, and only that lane's worker ever touches them during a
-  // parallel phase.
-  std::vector<IndexedHeap<ActPriority>>& qin = ctx.qin;
-  std::vector<IndexedHeap<ActPriority>>& qout = ctx.qout;
-  // Per (lane, keyword) min-dist over frontier states (§4.5 bound m_i:
-  // reduced min across lanes at the release check).
+  // Q_in/Q_out pop under the (activation, NodeId) total order.
+  IndexedHeap<ActPriority>& qin = ctx.qin;
+  IndexedHeap<ActPriority>& qout = ctx.qout;
+  // Per-keyword min-dist over frontier states (§4.5 bound m_i).
   std::vector<IndexedHeap<double, std::greater<double>>>& min_dist =
       ctx.min_dist;
-  // Min-depth over each queue lane (fallback bound when no distance is
-  // known).
-  std::vector<IndexedHeap<uint32_t, std::greater<uint32_t>>>& qin_depth =
-      ctx.qin_depth;
-  std::vector<IndexedHeap<uint32_t, std::greater<uint32_t>>>& qout_depth =
-      ctx.qout_depth;
+  // Min-depth over each queue (fallback bound when no distance known).
+  IndexedHeap<uint32_t, std::greater<uint32_t>>& qin_depth = ctx.qin_depth;
+  IndexedHeap<uint32_t, std::greater<uint32_t>>& qout_depth = ctx.qout_depth;
 
-  auto lane_of_state = [&](uint32_t s) { return plan.LaneOf(node_of[s]); };
   auto pri_of = [&](uint32_t s) {
     return ActPriority{act_sum[s], node_of[s]};
   };
@@ -176,82 +104,32 @@ SearchStatus BidirectionalSearcher::Resume(
   // The per-keyword frontier-minimum heaps only feed the tight bound;
   // maintaining them costs a heap update per (relaxation × keyword), so
   // loose/immediate modes skip them (their releases are driven by the
-  // edge-bound-with-drip machinery, see the release sections below).
+  // edge-bound-with-drip machinery, see maybe_release).
   const bool track_frontier_minima = options_.bound == BoundMode::kTight;
   auto frontier_dist_update = [&](uint32_t s, uint32_t i) {
     if (!track_frontier_minima) return;
-    const uint32_t l = lane_of_state(s);
-    if (qin[l].Contains(s) || qout[l].Contains(s)) {
-      if (d_at(s, i) != kInf) min_dist[l * n + i].Update(s, d_at(s, i));
+    if (qin.Contains(s) || qout.Contains(s)) {
+      if (d_at(s, i) != kInf) min_dist[i].Update(s, d_at(s, i));
     }
   };
   auto frontier_enter = [&](uint32_t s) {
     if (!track_frontier_minima) return;
-    const uint32_t l = lane_of_state(s);
     for (uint32_t i = 0; i < n; ++i) {
-      if (d_at(s, i) != kInf) min_dist[l * n + i].Update(s, d_at(s, i));
+      if (d_at(s, i) != kInf) min_dist[i].Update(s, d_at(s, i));
     }
   };
   auto frontier_leave = [&](uint32_t s) {
     if (!track_frontier_minima) return;
-    const uint32_t l = lane_of_state(s);
-    if (qin[l].Contains(s) || qout[l].Contains(s)) return;  // still frontier
+    if (qin.Contains(s) || qout.Contains(s)) return;  // still frontier
     for (uint32_t i = 0; i < n; ++i) {
-      if (min_dist[l * n + i].Contains(s)) min_dist[l * n + i].Erase(s);
+      if (min_dist[i].Contains(s)) min_dist[i].Erase(s);
     }
   };
 
-  // Signature-sharded output buffers, merged at every release check.
-  OutputHeap* heaps = ctx.output_heaps.data();
+  OutputHeap& heap = ctx.output_heap;
   uint64_t& steps = ss.steps;
   uint64_t& last_progress = ss.last_progress;  // last step best pending changed
   double& last_top = ss.last_top;              // champion score being aged
-
-  // ---- Round control block ------------------------------------------------
-  RoundFlags flags;
-  // Failure protocol: any phase body that throws records the exception
-  // and raises `failed`; phase bodies are skipped once it is up, but
-  // every worker still arrives at every barrier, and the only loop exit
-  // is the control barrier, where worker 0 — for whom `failed` is
-  // stable — publishes stop. Uniform barrier traffic is what makes the
-  // abort deadlock-free.
-  std::atomic<bool> failed{false};
-  // Raised by the coordinator at round end when any lane's expansion hit
-  // a failed page read (LaneCounters::io_errors); the next control
-  // barrier stops the loop and Resume returns kIoError. Coordinator-only
-  // writes/reads, so a plain bool is enough.
-  bool io_failure = false;
-  std::exception_ptr first_failure;
-  std::mutex failure_mu;
-  auto record_failure = [&]() {
-    std::lock_guard<std::mutex> lock(failure_mu);
-    if (!first_failure) first_failure = std::current_exception();
-    failed.store(true, std::memory_order_release);
-  };
-  auto guarded = [&](auto&& fn) {
-    if (failed.load(std::memory_order_acquire)) return;
-    try {
-      fn();
-    } catch (...) {
-      record_failure();
-    }
-  };
-
-  // ---- Mailboxes ----------------------------------------------------------
-  auto box_at = [&](int bank, uint32_t sender, uint32_t receiver)
-      -> LaneMailbox& {
-    return ctx.mailboxes[(static_cast<size_t>(bank) * kNumLanes + sender) *
-                             kNumLanes +
-                         receiver];
-  };
-  auto post = [&](int bank, uint32_t sender, uint32_t receiver,
-                  const LaneMessage& m) {
-    LaneMailbox& box = box_at(bank, sender, receiver);
-    box.msgs.push_back(m);
-    LaneCounters& c = ctx.lane_counters[sender];
-    if (receiver != sender) c.cross_msgs++;
-    if (box.msgs.size() > c.max_box) c.max_box = box.msgs.size();
-  };
 
   // ---- Emission -----------------------------------------------------------
   auto is_complete = [&](uint32_t s) {
@@ -260,21 +138,25 @@ SearchStatus BidirectionalSearcher::Resume(
     }
     return true;
   };
+  auto eraw_of = [&](uint32_t s) {
+    double eraw = 0;
+    for (uint32_t i = 0; i < n; ++i) eraw += d_at(s, i);
+    return eraw;
+  };
 
   // Materializing a tree (union Dijkstra + scoring + signature) is two
   // orders of magnitude more expensive than a distance relaxation, and
   // Attach can improve a completed root thousands of times. emit() only
-  // *marks* the root (into its lane's emit list — emit runs inside
-  // parallel phases); the build phase materializes trees in batches at
-  // the release checks, once the batch's distances have settled.
+  // *marks* the root; materialize_dirty() builds the marked roots' trees
+  // in one batch at the next release check, once their distances have
+  // settled.
   std::vector<uint32_t>& dirty_roots = ctx.dirty_roots;
 
   // Top-k eraw watermark: a root whose raw edge score is far beyond the
   // k-th best generated answer cannot enter the top-k (prestige can
   // reorder scores only within a bounded factor; the 2(1+w) slack is
   // generous for λ = 0.2). Prunes the long tail of late completions.
-  // Pooled max-heap of the k smallest eraws seen; mutated only in the
-  // coordinator's accept section, so parallel-phase reads are safe.
+  // Pooled max-heap of the k smallest eraws seen.
   std::vector<double>& best_eraws = ctx.best_eraws;
   auto beyond_watermark = [&](double eraw) {
     return best_eraws.size() >= options_.k &&
@@ -283,8 +165,7 @@ SearchStatus BidirectionalSearcher::Resume(
 
   auto emit = [&](uint32_t s) {
     if (!is_complete(s)) return;
-    double eraw = 0;
-    for (uint32_t i = 0; i < n; ++i) eraw += d_at(s, i);
+    const double eraw = eraw_of(s);
     // Re-materialize only on a >=2% improvement: micro-refinements do
     // not change rank but tree construction dominates per-answer cost.
     if (eraw >= last_eraw[s] * 0.98 - 1e-12) return;
@@ -292,30 +173,19 @@ SearchStatus BidirectionalSearcher::Resume(
     if (!(flags_of[s] & kStateDirty)) {
       flags_of[s] |= kStateDirty;
       ctx.marked_time[s] = timer.ElapsedSeconds();
-      ctx.marked_explored[s] = flags.explored_base;
-      ctx.marked_touched[s] = flags.touched_base;
-      ctx.lane_dirty[lane_of_state(s)].push_back(s);
+      ctx.marked_explored[s] = result.metrics.nodes_explored;
+      ctx.marked_touched[s] = result.metrics.nodes_touched;
+      dirty_roots.push_back(s);
     }
   };
 
-  // Builds the candidate tree for marked root `s` into *scratch's pooled
-  // buffers and stages it in ctx.cand_trees[j]. Pure reads of the
-  // settled dist/sp/marked state — safe for concurrent shard workers —
-  // with all accept decisions deferred to the sequential pass below.
-  auto build_candidate = [&](size_t j, SearchContext* scratch) {
-    const uint32_t s = dirty_roots[j];
-    ctx.cand_state[j] = kCandSkip;
-    if (!is_complete(s)) return;
-    double eraw = 0;
-    for (uint32_t i = 0; i < n; ++i) eraw += d_at(s, i);
-    if (eraw >= last_eraw[s] * 0.98 - 1e-12) return;
-    ctx.cand_eraw[j] = eraw;
-
-    std::vector<NodeId>& keyword_nodes = scratch->kw_scratch;
-    std::vector<AnswerEdge>& union_edges = scratch->union_edge_scratch;
+  // Builds the tree of marked root `s` into ctx.answer_scratch from the
+  // settled sp chains; false when a chain is stale (cycle or broken).
+  auto build_tree = [&](uint32_t s) -> bool {
+    std::vector<NodeId>& keyword_nodes = ctx.kw_scratch;
+    std::vector<AnswerEdge>& union_edges = ctx.union_edge_scratch;
     keyword_nodes.assign(n, kInvalidNode);
     union_edges.clear();
-    ctx.cand_state[j] = kCandWalkFail;
     for (uint32_t i = 0; i < n; ++i) {
       uint32_t cur = s;
       size_t guard = 0;
@@ -325,41 +195,38 @@ SearchStatus BidirectionalSearcher::Resume(
             node_of[cur], node_of[nxt],
             static_cast<float>(d_at(cur, i) - d_at(nxt, i))});
         cur = nxt;
-        if (++guard > node_of.size()) return;  // stale cycle; skip emission
+        if (++guard > node_of.size()) return false;  // stale cycle
       }
-      if (d_at(cur, i) != 0) return;  // broken chain; skip
+      if (d_at(cur, i) != 0) return false;  // broken chain
       keyword_nodes[i] = node_of[cur];
     }
-    AnswerTree& tree = scratch->answer_scratch;
-    ctx.cand_state[j] = kCandBuildFail;
+    AnswerTree& tree = ctx.answer_scratch;
     if (!BuildAnswerFromPathUnion(node_of[s], keyword_nodes, union_edges,
-                                  &scratch->tree_scratch, &tree) ||
+                                  &ctx.tree_scratch, &tree) ||
         !tree.IsMinimalRooted()) {
-      return;
+      return false;
     }
     ScoreTree(&tree, prestige_, options_.lambda);
     tree.generated_at = ctx.marked_time[s];
     tree.explored_at_generation = ctx.marked_explored[s];
     tree.touched_at_generation = ctx.marked_touched[s];
-    ctx.cand_trees[j] = tree;  // copy-assign into the recycled slot
-    ctx.cand_state[j] = kCandReady;
+    return true;
   };
 
-  // Sequential accept replay — watermark, last_eraw commit, duplicate
-  // suppression, metrics — in mark order. Coordinator only.
-  auto accept_batch = [&] {
-    const size_t batch = dirty_roots.size();
-    for (size_t j = 0; j < batch; ++j) {
-      const uint32_t s = dirty_roots[j];
+  // Materializes the batch of marked roots in mark order. Per root the
+  // guards run in a fixed order: improvement pre-check, watermark, then
+  // the last_eraw commit (a stale chain still commits, so the root is
+  // not retried until its distances improve again), then the build.
+  auto materialize_dirty = [&] {
+    for (const uint32_t s : dirty_roots) {
       flags_of[s] &= static_cast<uint8_t>(~kStateDirty);
-      if (ctx.cand_state[j] == kCandSkip) continue;
-      const double eraw = ctx.cand_eraw[j];
+      if (!is_complete(s)) continue;
+      const double eraw = eraw_of(s);
+      if (eraw >= last_eraw[s] * 0.98 - 1e-12) continue;
       if (beyond_watermark(eraw)) continue;
       last_eraw[s] = eraw;
-      if (ctx.cand_state[j] != kCandReady) continue;
-      AnswerTree& tree = ctx.cand_trees[j];
-      uint64_t sig = tree.Signature(&ctx.sig_scratch);
-      if (heaps[sig % L].InsertCopy(tree, sig)) {
+      if (!build_tree(s)) continue;
+      if (heap.InsertCopy(ctx.answer_scratch)) {
         result.metrics.answers_generated++;
         best_eraws.push_back(eraw);
         std::push_heap(best_eraws.begin(), best_eraws.end());
@@ -367,7 +234,7 @@ SearchStatus BidirectionalSearcher::Resume(
           std::pop_heap(best_eraws.begin(), best_eraws.end());
           best_eraws.pop_back();
         }
-        double top = MergedBestPendingScore(heaps, L);
+        double top = heap.BestPendingScore();
         if (top > last_top + 1e-15) {
           last_top = top;
           last_progress = steps;
@@ -378,34 +245,19 @@ SearchStatus BidirectionalSearcher::Resume(
   };
 
   // ---- Attach: best-first propagation of distance improvements (§4.2.1) --
-  // Lane-local cascade: runs on the lane's own queue; hops that leave
-  // the lane are posted as kRelax messages into the produce bank and
-  // picked up by the owner in the next cascade sub-round. The remote
-  // send is unconditional — the receiver re-checks improvement, and the
-  // epsilon guard keeps the message volume finite — because peeking at
-  // the remote row to pre-filter would read state another lane may be
-  // mutating this very phase.
-  auto attach_local = [&](uint32_t l, uint32_t i, int pb) {
-    auto& pq = ctx.attach_queues[l];
-    LaneCounters& c = ctx.lane_counters[l];
+  // The scratch queue lives on the context (drained to empty before each
+  // return, so reuse is safe) — Attach runs once per relaxation and a
+  // fresh heap allocation per call would dominate small queries.
+  auto attach = [&](uint32_t s0, uint32_t i) {
+    auto& pq = ctx.attach_queue;
+    pq.emplace(d_at(s0, i), s0);
     while (!pq.empty()) {
       auto [d0, u] = pq.top();
       pq.pop();
       if (d0 > d_at(u, i) + 1e-12) continue;  // stale
       ctx.edge_lists.ForEach(ctx.parents[u], [&](uint32_t x, float w) {
-        c.propagation++;
+        result.metrics.propagation_steps++;
         double nd = d0 + w;
-        const uint32_t xl = lane_of_state(x);
-        if (xl != l) {
-          LaneMessage m;
-          m.type = LaneMessage::kRelax;
-          m.kw = i;
-          m.target_state = x;
-          m.via_state = u;
-          m.value = nd;
-          post(pb, l, xl, m);
-          return;  // continue ForEach
-        }
         if (nd < d_at(x, i) - 1e-12) {
           d_at(x, i) = nd;
           sp_at(x, i) = u;
@@ -419,12 +271,11 @@ SearchStatus BidirectionalSearcher::Resume(
 
   // ---- Activate: best-first propagation of activation increases (§4.3) ---
   auto queue_priority_update = [&](uint32_t s) {
-    const uint32_t l = lane_of_state(s);
-    if (qin[l].Contains(s)) qin[l].Update(s, pri_of(s));
-    if (qout[l].Contains(s)) qout[l].Update(s, pri_of(s));
+    if (qin.Contains(s)) qin.Update(s, pri_of(s));
+    if (qout.Contains(s)) qout.Update(s, pri_of(s));
   };
 
-  auto raise_local = [&](uint32_t s, uint32_t i, double value) -> bool {
+  auto raise_activation = [&](uint32_t s, uint32_t i, double value) -> bool {
     if (options_.combine == ActivationCombine::kSum) {
       act_sum[s] += value;
       a_at(s, i) += value;
@@ -441,10 +292,10 @@ SearchStatus BidirectionalSearcher::Resume(
     return true;
   };
 
-  auto activate_local = [&](uint32_t l, uint32_t i, int pb) {
+  auto activate = [&](uint32_t s0, uint32_t i) {
     if (options_.combine == ActivationCombine::kSum) return;
-    auto& pq = ctx.activate_queues[l];  // max-heap: strongest first
-    LaneCounters& c = ctx.lane_counters[l];
+    auto& pq = ctx.activate_queue;  // max-heap: strongest activation first
+    pq.emplace(a_at(s0, i), s0);
     while (!pq.empty()) {
       auto [a0, v] = pq.top();
       pq.pop();
@@ -453,337 +304,78 @@ SearchStatus BidirectionalSearcher::Resume(
       double in_norm = graph_.InInverseWeightSum(v_node);
       if (in_norm > 0) {
         ctx.edge_lists.ForEach(ctx.parents[v], [&](uint32_t x, float w) {
-          c.propagation++;
+          result.metrics.propagation_steps++;
           double recv = options_.mu * a0 * (1.0 / w) / in_norm;
-          const uint32_t xl = lane_of_state(x);
-          if (xl != l) {
-            LaneMessage m;
-            m.type = LaneMessage::kRaise;
-            m.kw = i;
-            m.target_state = x;
-            m.value = recv;
-            post(pb, l, xl, m);
-            return;
-          }
-          if (raise_local(x, i, recv)) pq.emplace(recv, x);
+          if (raise_activation(x, i, recv)) pq.emplace(recv, x);
         });
       }
       double out_norm = graph_.OutInverseWeightSum(v_node);
       if (out_norm > 0) {
         ctx.edge_lists.ForEach(ctx.children[v], [&](uint32_t y, float w) {
-          c.propagation++;
+          result.metrics.propagation_steps++;
           double recv = options_.mu * a0 * (1.0 / w) / out_norm;
-          const uint32_t yl = lane_of_state(y);
-          if (yl != l) {
-            LaneMessage m;
-            m.type = LaneMessage::kRaise;
-            m.kw = i;
-            m.target_state = y;
-            m.value = recv;
-            post(pb, l, yl, m);
-            return;
-          }
-          if (raise_local(y, i, recv)) pq.emplace(recv, y);
+          if (raise_activation(y, i, recv)) pq.emplace(recv, y);
         });
       }
     }
   };
 
-  // Relax local state `su` through provider `sv` using the provider's
-  // per-keyword distance row `dv` (a mailbox-payload snapshot, or sv's
-  // live row when sv is lane-local — old ExploreEdge read it live too).
-  auto relax_with_dists = [&](uint32_t l, uint32_t su, uint32_t sv,
-                              const double* dv, float w, int pb) {
-    for (uint32_t i = 0; i < n; ++i) {
-      if (dv[i] == kInf) continue;
-      const double nd = dv[i] + w;
-      if (nd < d_at(su, i) - 1e-12) {
-        d_at(su, i) = nd;
-        sp_at(su, i) = sv;
-        frontier_dist_update(su, i);
-        emit(su);
-        ctx.attach_queues[l].emplace(nd, su);
-        attach_local(l, i, pb);
-      }
-    }
-  };
+  // ---- ExploreEdge (Figure 3): edge (u,v), i.e. u→v in the graph ----------
+  // `incoming_context` is true when called while expanding v from Q_in
+  // (activation then spreads v→u); false when expanding u from Q_out
+  // (activation spreads u→v).
+  auto explore_edge = [&](uint32_t su, uint32_t sv, float w,
+                          bool incoming_context) {
+    result.metrics.edges_relaxed++;
+    uint64_t key = (static_cast<uint64_t>(su) << 32) | sv;
+    // Reference into the flat map: valid until the next edge_flags
+    // insertion, and nothing below inserts into edge_flags.
+    uint8_t& flags = ctx.edge_flags[key];
 
-  // ---- Message application (cascade sub-rounds) ---------------------------
-  // `l` is the receiving lane; `pb` the produce bank for effects that
-  // leave the lane again.
-  auto apply_message = [&](uint32_t l, const LaneMailbox& box,
-                           const LaneMessage& m, int pb) {
-    LaneCounters& c = ctx.lane_counters[l];
-    switch (m.type) {
-      case LaneMessage::kExploreIn: {
-        // Popped v explored in-edge u→v; this lane owns u.
-        const uint32_t su = m.target_state;
-        const uint32_t sv = m.via_state;
-        const double* pay = box.payload.data() + m.payload;
-        // Relax u through v (Figure 3's "better path to t_i via v"),
-        // from v's distance row as of its pop. Later improvements of v
-        // flow through the now-linked edge via Attach.
-        relax_with_dists(l, su, sv, pay, m.w, pb);
-        // Backward activation spread v→u, once per directed edge.
-        {
-          const uint64_t key = (static_cast<uint64_t>(su) << 32) | sv;
-          uint8_t& f = ctx.lane_edge_flags[l][key];
-          const bool spread = !(f & kEdgeSpreadIn);
-          f |= kEdgeSpreadIn;
-          if (spread) {
-            for (uint32_t i = 0; i < n; ++i) {
-              const double recv = pay[n + i];
-              if (recv <= 0) continue;
-              if (raise_local(su, i, recv)) {
-                ctx.activate_queues[l].emplace(a_at(su, i), su);
-                activate_local(l, i, pb);
-              }
-            }
-          }
-        }
-        // Frontier entry for u.
-        if (!(flags_of[su] & kStatePoppedIn) && !qin[l].Contains(su)) {
-          qin[l].Push(su, pri_of(su));
-          qin_depth[l].Push(su, depth_of[su]);
-          c.touched++;
-          frontier_enter(su);
-        }
-        break;
-      }
-      case LaneMessage::kExploreOut: {
-        // Popped u explored out-edge u→v; this lane owns v.
-        const uint32_t sv = m.target_state;
-        const uint32_t su = m.via_state;
-        const double* pay = box.payload.data() + m.payload;
-        // u can relax through v when v already has finite distances
-        // (the out-context half of ExploreEdge's record-time relax):
-        // lane-local u relaxes inline; a remote u gets v's distance row
-        // as a kDistReply in the next sub-round.
-        {
-          bool any = false;
-          for (uint32_t i = 0; i < n; ++i) {
-            if (d_at(sv, i) != kInf) {
-              any = true;
-              break;
-            }
-          }
-          if (any) {
-            const uint32_t ul = lane_of_state(su);
-            if (ul == l) {
-              relax_with_dists(l, su, sv, &dist[static_cast<size_t>(sv) * n],
-                               m.w, pb);
-            } else {
-              LaneMailbox& rbox = box_at(pb, l, ul);
-              LaneMessage rm;
-              rm.type = LaneMessage::kDistReply;
-              rm.target_state = su;
-              rm.via_state = sv;
-              rm.w = m.w;
-              rm.payload = static_cast<uint32_t>(rbox.payload.size());
-              for (uint32_t i = 0; i < n; ++i) {
-                rbox.payload.push_back(d_at(sv, i));
-              }
-              post(pb, l, ul, rm);
-            }
-          }
-        }
-        // Forward activation spread u→v, once per directed edge.
-        {
-          const uint64_t key = (static_cast<uint64_t>(su) << 32) | sv;
-          uint8_t& f = ctx.lane_edge_flags[l][key];
-          const bool spread = !(f & kEdgeSpreadOut);
-          f |= kEdgeSpreadOut;
-          if (spread) {
-            for (uint32_t i = 0; i < n; ++i) {
-              const double recv = pay[i];
-              if (recv <= 0) continue;
-              if (raise_local(sv, i, recv)) {
-                ctx.activate_queues[l].emplace(a_at(sv, i), sv);
-                activate_local(l, i, pb);
-              }
-            }
-          }
-        }
-        // Frontier entry for v (Q_out).
-        if (!(flags_of[sv] & kStateEverInQout)) {
-          flags_of[sv] |= kStateEverInQout;
-          qout[l].Push(sv, pri_of(sv));
-          qout_depth[l].Push(sv, depth_of[sv]);
-          c.touched++;
-          frontier_enter(sv);
-        }
-        break;
-      }
-      case LaneMessage::kDistReply: {
-        const double* pay = box.payload.data() + m.payload;
-        relax_with_dists(l, m.target_state, m.via_state, pay, m.w, pb);
-        break;
-      }
-      case LaneMessage::kRelax: {
-        const uint32_t x = m.target_state;
-        if (m.value < d_at(x, m.kw) - 1e-12) {
-          d_at(x, m.kw) = m.value;
-          sp_at(x, m.kw) = m.via_state;
-          frontier_dist_update(x, m.kw);
-          emit(x);
-          ctx.attach_queues[l].emplace(m.value, x);
-          attach_local(l, m.kw, pb);
-        }
-        break;
-      }
-      case LaneMessage::kRaise: {
-        const uint32_t x = m.target_state;
-        if (raise_local(x, m.kw, m.value)) {
-          ctx.activate_queues[l].emplace(a_at(x, m.kw), x);
-          activate_local(l, m.kw, pb);
-        }
-        break;
-      }
-    }
-  };
-
-  // ---- Pop phase ----------------------------------------------------------
-  // One pop per qualifying lane (ctx.lane_pop, decided at the control
-  // barrier). Edge explorations always leave through the mailboxes —
-  // even lane-local ones — so that node discovery and edge-list linking
-  // happen only in the coordinator's sequential discovery pass.
-  auto pop_lane = [&](uint32_t l) {
-    const uint8_t which = ctx.lane_pop[l];
-    if (which == 0) return;
-    LaneCounters& c = ctx.lane_counters[l];
-    if (which == 1) {
-      const uint32_t v = qin[l].Pop();
-      if (qin_depth[l].Contains(v)) qin_depth[l].Erase(v);
-      frontier_leave(v);
-      flags_of[v] |= kStatePoppedIn;
-      const NodeId v_node = node_of[v];
-      const uint32_t v_depth = depth_of[v];
-      c.explored++;
-      emit(v);
-      if (v_depth < options_.dmax) {
-        const double norm = graph_.InInverseWeightSum(v_node);
-        PagePin pin;
-        std::span<const Edge> in_edges = graph_.InEdges(v_node, &pin);
-        // A failed pin yields an empty span: the expansion is skipped,
-        // the lane's io_errors count stops the loop at round end.
-        if (pin.failed()) ++c.io_errors;
-        if (!pin.empty()) ++(pin.hit() ? c.page_hits : c.page_misses);
-        for (const Edge& e : in_edges) {
-          if (!EdgeAllowed(e)) continue;
-          c.relaxed++;
-          const uint32_t rl = plan.LaneOf(e.other);
-          LaneMailbox& bx = box_at(0, l, rl);
-          LaneMessage m;
-          m.type = LaneMessage::kExploreIn;
-          m.target_node = e.other;
-          m.via_state = v;
-          m.w = e.weight;
-          m.depth = v_depth + 1;
-          m.payload = static_cast<uint32_t>(bx.payload.size());
-          for (uint32_t i = 0; i < n; ++i) bx.payload.push_back(d_at(v, i));
-          for (uint32_t i = 0; i < n; ++i) {
-            double recv = 0;
-            if (norm > 0 && a_at(v, i) > 0) {
-              recv = options_.mu * a_at(v, i) * (1.0 / e.weight) / norm;
-            }
-            bx.payload.push_back(recv);
-          }
-          post(0, l, rl, m);
-        }
-      }
-      if (!(flags_of[v] & kStateEverInQout)) {
-        flags_of[v] |= kStateEverInQout;
-        qout[l].Push(v, pri_of(v));
-        qout_depth[l].Push(v, v_depth);
-        c.touched++;
-        frontier_enter(v);
-      }
-    } else {
-      const uint32_t u = qout[l].Pop();
-      if (qout_depth[l].Contains(u)) qout_depth[l].Erase(u);
-      frontier_leave(u);
-      flags_of[u] |= kStatePoppedOut;
-      const NodeId u_node = node_of[u];
-      const uint32_t u_depth = depth_of[u];
-      c.explored++;
-      emit(u);
-      if (u_depth < options_.dmax) {
-        const double norm = graph_.OutInverseWeightSum(u_node);
-        PagePin pin;
-        std::span<const Edge> out_edges = graph_.OutEdges(u_node, &pin);
-        if (pin.failed()) ++c.io_errors;  // empty span; stop at round end
-        if (!pin.empty()) ++(pin.hit() ? c.page_hits : c.page_misses);
-        for (const Edge& e : out_edges) {
-          if (!EdgeAllowed(e)) continue;
-          c.relaxed++;
-          const uint32_t rl = plan.LaneOf(e.other);
-          LaneMailbox& bx = box_at(0, l, rl);
-          LaneMessage m;
-          m.type = LaneMessage::kExploreOut;
-          m.target_node = e.other;
-          m.via_state = u;
-          m.w = e.weight;
-          m.depth = u_depth + 1;
-          m.payload = static_cast<uint32_t>(bx.payload.size());
-          for (uint32_t i = 0; i < n; ++i) {
-            double recv = 0;
-            if (norm > 0 && a_at(u, i) > 0) {
-              recv = options_.mu * a_at(u, i) * (1.0 / e.weight) / norm;
-            }
-            bx.payload.push_back(recv);
-          }
-          post(0, l, rl, m);
+    if (!(flags & kEdgeRecorded)) {
+      flags |= kEdgeRecorded;
+      ctx.edge_lists.Append(&ctx.parents[sv], su, w);
+      ctx.edge_lists.Append(&ctx.children[su], sv, w);
+      // Relax u's per-keyword distances through v ("if u has a better
+      // path to t_i via v").
+      for (uint32_t i = 0; i < n; ++i) {
+        if (d_at(sv, i) == kInf) continue;
+        double nd = d_at(sv, i) + w;
+        if (nd < d_at(su, i) - 1e-12) {
+          d_at(su, i) = nd;
+          sp_at(su, i) = sv;
+          frontier_dist_update(su, i);
+          emit(su);
+          attach(su, i);
         }
       }
     }
-  };
 
-  // ---- Discovery (coordinator, after the pop barrier) ---------------------
-  // Walk the pop phase's mailboxes in (sender, receiver, sequence)
-  // order: resolve target states (first message wins a new node's
-  // depth) and link the explored edges into the owner lanes' lists.
-  // The single edge-list arena is safe because this pass is the only
-  // writer and every parallel phase only reads the lists.
-  auto discovery = [&] {
-    for (uint32_t s = 0; s < L; ++s) {
-      for (uint32_t r = 0; r < L; ++r) {
-        LaneMailbox& box = box_at(0, s, r);
-        for (LaneMessage& m : box.msgs) {
-          if (m.type != LaneMessage::kExploreIn &&
-              m.type != LaneMessage::kExploreOut) {
-            continue;
-          }
-          const uint32_t ts = get_state(m.target_node, m.depth);
-          m.target_state = ts;
-          uint32_t su, sv;
-          if (m.type == LaneMessage::kExploreIn) {
-            su = ts;
-            sv = m.via_state;
-          } else {
-            sv = ts;
-            su = m.via_state;
-          }
-          const uint64_t key = (static_cast<uint64_t>(su) << 32) | sv;
-          // Both linking bits live in the coordinator-owned edge_links
-          // map (this pass is its only toucher), so one lookup covers
-          // them; Append never mutates the map, so holding the
-          // reference across both is safe.
-          uint8_t& f = ctx.edge_links[key];
-          if (!(f & kEdgeParentLinked)) {
-            f |= kEdgeParentLinked;
-            ctx.edge_lists.Append(&ctx.parents[sv], su, m.w);
-          }
-          if (!(f & kEdgeChildLinked)) {
-            f |= kEdgeChildLinked;
-            ctx.edge_lists.Append(&ctx.children[su], sv, m.w);
-          }
+    if (incoming_context && !(flags & kEdgeSpreadIn)) {
+      flags |= kEdgeSpreadIn;
+      double norm = graph_.InInverseWeightSum(node_of[sv]);
+      if (norm > 0) {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (a_at(sv, i) <= 0) continue;
+          double recv = options_.mu * a_at(sv, i) * (1.0 / w) / norm;
+          if (raise_activation(su, i, recv)) activate(su, i);
+        }
+      }
+    }
+    if (!incoming_context && !(flags & kEdgeSpreadOut)) {
+      flags |= kEdgeSpreadOut;
+      double norm = graph_.OutInverseWeightSum(node_of[su]);
+      if (norm > 0) {
+        for (uint32_t i = 0; i < n; ++i) {
+          if (a_at(su, i) <= 0) continue;
+          double recv = options_.mu * a_at(su, i) * (1.0 / w) / norm;
+          if (raise_activation(sv, i, recv)) activate(sv, i);
         }
       }
     }
   };
 
   // ---- Seeding (Eq. 1): a_{u,i} = prestige(u) / |S_i| ---------------------
-  // Sequential, on the coordinator, before the round loop starts.
   if (fresh) {
     for (uint32_t i = 0; i < n; ++i) {
       std::vector<NodeId>& uniq = ctx.uniq_scratch;
@@ -803,44 +395,34 @@ SearchStatus BidirectionalSearcher::Resume(
       double total = 0;
       for (uint32_t i = 0; i < n; ++i) total += a_at(s, i);
       act_sum[s] = total;
-      const uint32_t l = lane_of_state(s);
-      qin[l].Push(s, pri_of(s));
-      qin_depth[l].Push(s, depth_of[s]);
+      qin.Push(s, pri_of(s));
+      qin_depth.Push(s, depth_of[s]);
       result.metrics.nodes_touched++;
       frontier_enter(s);
     }
   }
 
   // ---- §4.5 release bound -------------------------------------------------
-  // Both floors are reductions across lanes: min over the per-lane
-  // frontier-minimum heaps, min over the per-lane depth heaps.
   auto keyword_floor = [&](uint32_t i) -> double {
-    double m = kInf;
-    for (uint32_t l = 0; l < L; ++l) {
-      if (!min_dist[l * n + i].empty()) {
-        m = std::min(m, min_dist[l * n + i].TopPriority());
-      }
-    }
-    uint32_t best_in_depth = UINT32_MAX;
-    uint32_t best_out_depth = UINT32_MAX;
-    for (uint32_t l = 0; l < L; ++l) {
-      if (!qin_depth[l].empty()) {
-        best_in_depth = std::min(best_in_depth, qin_depth[l].TopPriority());
-      }
-      if (!qout_depth[l].empty()) {
-        best_out_depth = std::min(best_out_depth, qout_depth[l].TopPriority());
-      }
-    }
+    const double m = min_dist[i].empty() ? kInf : min_dist[i].TopPriority();
     double depth_floor = kInf;
-    if (best_in_depth != UINT32_MAX) {
-      depth_floor = (best_in_depth + 1) * min_edge_weight;
-    } else if (best_out_depth != UINT32_MAX) {
-      depth_floor = (best_out_depth + 1) * min_edge_weight;
+    if (!qin_depth.empty()) {
+      depth_floor = (qin_depth.TopPriority() + 1) * min_edge_weight;
+    } else if (!qout_depth.empty()) {
+      depth_floor = (qout_depth.TopPriority() + 1) * min_edge_weight;
     }
     return std::min(m, depth_floor);
   };
 
-  auto compute_bounds = [&]() -> double {
+  auto maybe_release = [&](bool force) {
+    // The tight bound's NRA scan is O(states); amortize it. Loose and
+    // immediate releases are cheap and run at the base interval.
+    uint64_t interval = std::max<uint64_t>(1, options_.bound_check_interval);
+    if (options_.bound == BoundMode::kTight) {
+      interval = std::max<uint64_t>(interval, node_of.size() / 8);
+    }
+    if (!force && (steps % interval) != 0) return;
+    materialize_dirty();
     std::vector<double>& m = ctx.bound_scratch;
     m.assign(n, 0.0);
     double h = 0;
@@ -848,52 +430,37 @@ SearchStatus BidirectionalSearcher::Resume(
       m[i] = keyword_floor(i);
       h += m[i];
     }
-    return h;
-  };
-
-  // NRA slice scan: unseen roots are bounded by h; every partially seen
-  // node may complete with m_i for its missing keywords. Pure
-  // min-reduction over the flat state slab, so workers take contiguous
-  // slices.
-  auto scan_slice = [&](size_t begin, size_t end) -> double {
-    const std::vector<double>& m = ctx.bound_scratch;
-    double best = kInf;
-    for (size_t s = begin; s < end; ++s) {
-      double pot = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        pot += std::min(dist[s * n + i], m[i]);
-      }
-      best = std::min(best, pot);
-    }
-    return best;
-  };
-
-  // Mode-dispatched release against precomputed bounds. Coordinator only.
-  auto finish_release = [&](double h, double best_potential_eraw) {
     size_t before = result.answers.size();
     if (options_.bound == BoundMode::kImmediate) {
-      MergedDrain(heaps, L, options_.k, &result.answers);
+      heap.Drain(options_.k, &result.answers);
     } else if (options_.bound == BoundMode::kLoose) {
-      MergedReleaseWithEdgeBound(heaps, L, h, options_.k, &result.answers);
+      heap.ReleaseWithEdgeBound(h, options_.k, &result.answers);
       if (options_.release_patience &&
           steps - last_progress >= options_.release_patience &&
-          result.answers.size() < options_.k &&
-          MergedPendingCount(heaps, L) > 0) {
+          result.answers.size() < options_.k && heap.pending_count() > 0) {
         // Staleness drip: the champion has been unbeaten for a while;
         // release a batch of the best pending answers.
-        MergedReleaseBest(heaps, L, std::max<size_t>(1, options_.k / 8),
-                          options_.k, &result.answers);
+        heap.ReleaseBest(std::max<size_t>(1, options_.k / 8), options_.k,
+                         &result.answers);
       }
     } else {
+      // NRA-style: unseen roots are bounded by h; every partially seen
+      // node may complete with m_i for its missing keywords.
+      double best_potential_eraw = h;
+      const size_t num_states = node_of.size();
+      for (size_t s = 0; s < num_states; ++s) {
+        double pot = 0;
+        for (uint32_t i = 0; i < n; ++i) pot += std::min(dist[s * n + i], m[i]);
+        best_potential_eraw = std::min(best_potential_eraw, pot);
+      }
       double ub = ScoreUpperBound(h, 1.0, options_.lambda);
       ub = std::max(
           ub, ScoreUpperBound(best_potential_eraw, 1.0, options_.lambda));
-      MergedReleaseWithScoreBound(heaps, L, ub - 1e-12, options_.k,
-                                  &result.answers);
+      heap.ReleaseWithScoreBound(ub - 1e-12, options_.k, &result.answers);
     }
     if (result.answers.size() != before) {
       last_progress = steps;
-      last_top = MergedBestPendingScore(heaps, L);
+      last_top = heap.BestPendingScore();
     }
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
@@ -901,341 +468,128 @@ SearchStatus BidirectionalSearcher::Resume(
     }
   };
 
-  // Slice bounds (streaming pauses): checked only at the control
-  // barrier, so a pause always lands on a round boundary — mailboxes
-  // empty, cascades drained — and never changes what the search
-  // computes. When sharded, StepLimits therefore act at round
-  // granularity (a round pops up to kNumLanes nodes).
+  // Slice bounds (streaming pauses): checked only between complete
+  // expansions — the popped node's Attach/Activate cascades have
+  // drained — so a pause never changes what the search computes.
   const SliceGuard slice(limits, &ss, &timer);
 
-  // ---- Round control (coordinator, at the top of each round) --------------
-  // Termination checks replicate the sequential loop's order: queue
-  // exhaustion, top-k completion, budgets, then the streaming pause.
-  auto control = [&] {
-    flags = RoundFlags{};
-    if (failed.load(std::memory_order_acquire)) {
-      flags.stop = true;
-      return;
-    }
-    if (io_failure) {  // a lane saw a failed page read last round
-      flags.stop = true;
-      return;
-    }
-    // Per-lane best under the (activation, NodeId) total order; tie
-    // between a lane's Q_in and Q_out tops goes to Q_in, as in the
-    // unsharded algorithm.
-    ActPriority lane_top[kNumLanes];
-    uint8_t lane_src[kNumLanes];
-    bool any = false;
-    ActPriority global_top;
-    for (uint32_t l = 0; l < L; ++l) {
-      lane_src[l] = 0;
-      const bool has_in = !qin[l].empty();
-      const bool has_out = !qout[l].empty();
-      if (!has_in && !has_out) continue;
-      ActPriority top;
-      uint8_t src = 0;
-      if (has_in) {
-        top = qin[l].TopPriority();
-        src = 1;
-      }
-      if (has_out && (!has_in || top < qout[l].TopPriority())) {
-        top = qout[l].TopPriority();
-        src = 2;
-      }
-      lane_top[l] = top;
-      lane_src[l] = src;
-      if (!any || global_top < top) {
-        global_top = top;
-        any = true;
-      }
-    }
-    if (!any) {
-      flags.stop = true;
-      return;
-    }
-    if (result.answers.size() >= options_.k) {
-      flags.stop = true;
-      return;
-    }
+  // ---- Main loop (Figure 3 lines 4–23) ------------------------------------
+  // Pop the best of the Q_in and Q_out tops under the (activation,
+  // NodeId) total order; on an exact tie — only possible when one node
+  // is in both — Q_in wins.
+  for (;;) {
+    if (qin.empty() && qout.empty()) break;
+    if (result.answers.size() >= options_.k) break;
     if (options_.max_nodes_explored &&
         result.metrics.nodes_explored >= options_.max_nodes_explored) {
       result.metrics.budget_exhausted = true;
-      flags.stop = true;
-      return;
+      break;
     }
     if (options_.max_answers_generated &&
         result.metrics.answers_generated >= options_.max_answers_generated) {
       result.metrics.budget_exhausted = true;
-      flags.stop = true;
-      return;
+      break;
     }
-    if (slice.PauseDue()) {
-      flags.stop = true;
-      flags.paused = true;
-      return;
-    }
-    const double cutoff = kLanePopFraction * global_top.act;
-    for (uint32_t l = 0; l < L; ++l) {
-      ctx.lane_pop[l] =
-          (lane_src[l] != 0 && lane_top[l].act >= cutoff) ? lane_src[l] : 0;
-    }
+    if (slice.PauseDue()) return slice.Pause();
+
+    const bool take_in =
+        qout.empty() ||
+        (!qin.empty() && !(qin.TopPriority() < qout.TopPriority()));
+
     if (ctx.page_listener != nullptr && graph_.paged()) {
-      // Page-wait protocol (docs/STORAGE.md): the pop set is decided —
-      // a deterministic function of the round-start frontier — so probe
-      // every popping lane's expansion page before committing to the
-      // round. On any miss, queue async fetches for *all* missing pages
-      // (the fault waiter counts one OnPageReady per OnFetchQueued) and
-      // pause at this round boundary; the retried slice recomputes the
-      // identical pop set and sails through. Probes mutate nothing.
-      //
-      // Thrash escape: when the round needs more pages than the pool
-      // holds (or concurrent tasks keep evicting our fetches), retried
-      // probes can fault forever. Past the retry cap, skip the probe
-      // and let this round's pins block synchronously — guaranteed
-      // progress, identical results.
-      if (ctx.stream.page_fault_retries >=
+      // Page-wait protocol (docs/STORAGE.md): before committing to the
+      // pop, check that the expansion it would trigger has its adjacency
+      // page pooled; on a miss, queue the fetch and detach the quantum
+      // instead of blocking the worker on the read. The probe mutates
+      // nothing, so the retried slice replays this decision identically.
+      // Past the retry cap (e.g. concurrent tasks keep evicting our
+      // fetched page) the probe is skipped for one pop and its pin
+      // blocks synchronously — guaranteed progress, identical results.
+      if (ss.page_fault_retries >=
           SearchContext::StreamState::kMaxPageFaultRetries) {
-        ctx.stream.page_fault_retries = 0;
+        ss.page_fault_retries = 0;
       } else {
-        bool faulted = false;
-        for (uint32_t l = 0; l < L; ++l) {
-          if (ctx.lane_pop[l] == 0) continue;
-          const uint32_t s =
-              ctx.lane_pop[l] == 1 ? qin[l].Top() : qout[l].Top();
-          if (depth_of[s] >= options_.dmax) continue;
-          const NodeId v = node_of[s];
-          const bool ready = ctx.lane_pop[l] == 1
-                                 ? graph_.ProbeInEdges(v, ctx.page_listener)
-                                 : graph_.ProbeOutEdges(v, ctx.page_listener);
-          if (!ready) faulted = true;
+        const uint32_t s = take_in ? qin.Top() : qout.Top();
+        if (depth_of[s] < options_.dmax) {
+          const bool ready =
+              take_in ? graph_.ProbeInEdges(node_of[s], ctx.page_listener)
+                      : graph_.ProbeOutEdges(node_of[s], ctx.page_listener);
+          if (!ready) return slice.PageWait();
         }
-        if (faulted) {
-          flags.stop = true;
-          flags.page_wait = true;
-          return;
-        }
-        ctx.stream.page_fault_retries = 0;
+        ss.page_fault_retries = 0;
       }
     }
-    flags.explored_base = result.metrics.nodes_explored;
-    flags.touched_base = result.metrics.nodes_touched;
-  };
 
-  // ---- Round end (coordinator) --------------------------------------------
-  // Merge per-lane counters (lane order → deterministic totals), count
-  // the round's pops into the step clock, concatenate the lanes' emit
-  // lists, and decide whether this round crossed a release boundary.
-  auto round_end = [&] {
-    SearchMetrics& met = result.metrics;
-    for (uint32_t l = 0; l < L; ++l) {
-      LaneCounters& c = ctx.lane_counters[l];
-      met.nodes_explored += c.explored;
-      met.nodes_touched += c.touched;
-      met.edges_relaxed += c.relaxed;
-      met.propagation_steps += c.propagation;
-      met.cross_shard_messages += c.cross_msgs;
-      if (c.max_box > met.max_mailbox_depth) met.max_mailbox_depth = c.max_box;
-      met.page_hits += c.page_hits;
-      met.page_misses += c.page_misses;
-      if (c.io_errors > 0) io_failure = true;
-      met.io_errors += c.io_errors;
-      c.Reset();
-    }
-    met.bsp_rounds++;
-    uint64_t pops = 0;
-    for (uint32_t l = 0; l < L; ++l) {
-      if (ctx.lane_pop[l] != 0) pops++;
-    }
-    const uint64_t steps_before = steps;
-    steps += pops;
-    for (uint32_t l = 0; l < L; ++l) {
-      dirty_roots.insert(dirty_roots.end(), ctx.lane_dirty[l].begin(),
-                         ctx.lane_dirty[l].end());
-      ctx.lane_dirty[l].clear();
-    }
-    // The tight bound's NRA scan is O(states); amortize it. Loose and
-    // immediate releases are cheap and run at the base interval. A
-    // round advances the step clock by its pop count, so the release
-    // fires whenever the clock crossed an interval boundary.
-    uint64_t interval = options_.bound_check_interval;
-    if (interval == 0) interval = 1;
-    if (options_.bound == BoundMode::kTight) {
-      interval = std::max<uint64_t>(interval, node_of.size() / 8);
-    }
-    flags.do_release = (steps_before / interval) != (steps / interval);
-    // A round that lost adjacency to a failed read expanded a partial
-    // graph: release nothing from it — only answers released before the
-    // failure are guaranteed to match a clean run.
-    if (io_failure) flags.do_release = false;
-    if (flags.do_release) {
-      const size_t batch = dirty_roots.size();
-      flags.build_batch = batch;
-      if (ctx.cand_trees.size() < batch) ctx.cand_trees.resize(batch);
-      ctx.cand_state.assign(batch, kCandSkip);
-      ctx.cand_eraw.assign(batch, kInf);
-    }
-  };
-
-  double release_h = 0;  // written by the coordinator between barriers
-
-  // ---- The BSP round loop -------------------------------------------------
-  // Every worker traverses the identical barrier sequence; all
-  // conditional structure is published by the coordinator in flags
-  // strictly before the barrier that precedes the read (the tight-mode
-  // scan is gated by the bound mode, a query constant). See sharding.h
-  // for the phase-by-phase contract.
-  SpinBarrier barrier(num_workers);
-  auto worker_fn = [&](uint32_t w) {
-    SearchContext* scratch = w == 0 ? &ctx : runtime.WorkerScratch(w);
-    for (;;) {
-      // Round-entry barrier: the previous round's last flags read
-      // (`do_release`, below) happens after a barrier the coordinator
-      // also passes, so without this quiesce point worker 0 could loop
-      // around and rewrite `flags` in control() while a straggler is
-      // still reading the old round's fields.
-      barrier.Wait();
-      if (w == 0) {
-        try {
-          control();
-        } catch (...) {
-          record_failure();
-          flags.stop = true;
-        }
-      }
-      barrier.Wait();
-      if (flags.stop) break;
-
-      guarded([&] {
-        for (uint32_t l = w; l < L; l += num_workers) pop_lane(l);
-      });
-      barrier.Wait();
-      if (w == 0) guarded([&] { discovery(); });
-      barrier.Wait();
-
-      int bank = 0;
-      for (;;) {
-        if (w == 0) {
-          bool nonempty = false;
-          for (uint32_t b = 0; b < L * L && !nonempty; ++b) {
-            nonempty = !ctx.mailboxes[static_cast<size_t>(bank) * L * L + b]
-                            .msgs.empty();
+    // NOTE: get_state() may reallocate the per-state arrays; never hold a
+    // reference into them across it — copy what we need into locals.
+    if (take_in) {
+      uint32_t v = qin.Pop();
+      if (qin_depth.Contains(v)) qin_depth.Erase(v);
+      frontier_leave(v);
+      flags_of[v] |= kStatePoppedIn;
+      const NodeId v_node = node_of[v];
+      const uint32_t v_depth = depth_of[v];
+      result.metrics.nodes_explored++;
+      steps++;
+      emit(v);
+      if (v_depth < options_.dmax) {
+        PagePin pin;
+        std::span<const Edge> in_edges = graph_.InEdges(v_node, &pin);
+        if (!slice.BookPin(pin)) return slice.IoError();
+        for (const Edge& e : in_edges) {
+          if (!EdgeAllowed(e)) continue;
+          uint32_t u = get_state(e.other, v_depth + 1);
+          explore_edge(u, v, e.weight, /*incoming_context=*/true);
+          if (!(flags_of[u] & kStatePoppedIn) && !qin.Contains(u)) {
+            qin.Push(u, pri_of(u));
+            qin_depth.Push(u, depth_of[u]);
+            result.metrics.nodes_touched++;
+            frontier_enter(u);
           }
-          flags.cascade = nonempty && !failed.load(std::memory_order_acquire);
         }
-        barrier.Wait();
-        if (!flags.cascade) break;
-        guarded([&] {
-          const int pb = bank ^ 1;
-          for (uint32_t l = w; l < L; l += num_workers) {
-            for (uint32_t s = 0; s < L; ++s) {
-              LaneMailbox& box = box_at(bank, s, l);
-              for (const LaneMessage& m : box.msgs) {
-                apply_message(l, box, m, pb);
-              }
-              box.Clear();
-            }
-          }
-        });
-        barrier.Wait();
-        bank ^= 1;
       }
-
-      if (w == 0) guarded([&] { round_end(); });
-      barrier.Wait();
-      if (!flags.do_release) continue;
-
-      guarded([&] {
-        for (size_t j = w; j < flags.build_batch; j += num_workers) {
-          build_candidate(j, scratch);
-        }
-      });
-      barrier.Wait();
-      if (w == 0) {
-        guarded([&] {
-          accept_batch();
-          release_h = compute_bounds();
-          if (options_.bound == BoundMode::kTight) {
-            ctx.nra_partial.assign(num_workers, kInf);
-          } else {
-            finish_release(release_h, 0);
-          }
-        });
+      if (!(flags_of[v] & kStateEverInQout)) {
+        flags_of[v] |= kStateEverInQout;
+        qout.Push(v, pri_of(v));
+        qout_depth.Push(v, v_depth);
+        result.metrics.nodes_touched++;
+        frontier_enter(v);
       }
-      barrier.Wait();
-      if (options_.bound == BoundMode::kTight) {
-        guarded([&] {
-          const size_t num_states = node_of.size();
-          const size_t begin = num_states * w / num_workers;
-          const size_t end = num_states * (w + 1) / num_workers;
-          ctx.nra_partial[w] = scan_slice(begin, end);
-        });
-        barrier.Wait();
-        if (w == 0) {
-          guarded([&] {
-            double best_potential = release_h;
-            for (double p : ctx.nra_partial) {
-              best_potential = std::min(best_potential, p);
-            }
-            finish_release(release_h, best_potential);
-          });
+    } else {
+      uint32_t u = qout.Pop();
+      if (qout_depth.Contains(u)) qout_depth.Erase(u);
+      frontier_leave(u);
+      flags_of[u] |= kStatePoppedOut;
+      const NodeId u_node = node_of[u];
+      const uint32_t u_depth = depth_of[u];
+      result.metrics.nodes_explored++;
+      steps++;
+      emit(u);
+      if (u_depth < options_.dmax) {
+        PagePin pin;
+        std::span<const Edge> out_edges = graph_.OutEdges(u_node, &pin);
+        if (!slice.BookPin(pin)) return slice.IoError();
+        for (const Edge& e : out_edges) {
+          if (!EdgeAllowed(e)) continue;
+          uint32_t v = get_state(e.other, u_depth + 1);
+          explore_edge(u, v, e.weight, /*incoming_context=*/false);
+          if (!(flags_of[v] & kStateEverInQout)) {
+            flags_of[v] |= kStateEverInQout;
+            qout.Push(v, pri_of(v));
+            qout_depth.Push(v, depth_of[v]);
+            result.metrics.nodes_touched++;
+            frontier_enter(v);
+          }
         }
-        barrier.Wait();
       }
     }
-  };
-
-  if (num_workers > 1) runtime.PrepareWorkerScratch();
-  runtime.Run(worker_fn);
-  if (first_failure) std::rethrow_exception(first_failure);
-  if (io_failure) return slice.IoError();
-  if (flags.page_wait) return slice.PageWait();
-  if (flags.paused) return slice.Pause();
-
-  // ---- Force release + drain (sequential tail; the team is idle, so
-  // the batch phases may re-engage it the old way) --------------------------
-  {
-    const size_t batch = dirty_roots.size();
-    if (batch > 0) {
-      if (ctx.cand_trees.size() < batch) ctx.cand_trees.resize(batch);
-      ctx.cand_state.assign(batch, kCandSkip);
-      ctx.cand_eraw.assign(batch, kInf);
-      if (runtime.Engage(batch, kMinCandidatesPerShard)) {
-        runtime.PrepareWorkerScratch();
-        runtime.Run([&](uint32_t w) {
-          SearchContext* scratch = w == 0 ? &ctx : runtime.WorkerScratch(w);
-          for (size_t j = w; j < batch; j += num_workers) {
-            build_candidate(j, scratch);
-          }
-        });
-      } else {
-        for (size_t j = 0; j < batch; ++j) build_candidate(j, &ctx);
-      }
-    }
-    accept_batch();
-    const double h = compute_bounds();
-    double best_potential = h;
-    if (options_.bound == BoundMode::kTight) {
-      const size_t num_states = node_of.size();
-      if (runtime.Engage(num_states, kMinScanStatesPerShard)) {
-        ctx.nra_partial.assign(num_workers, kInf);
-        runtime.Run([&](uint32_t w) {
-          size_t begin = num_states * w / num_workers;
-          size_t end = num_states * (w + 1) / num_workers;
-          ctx.nra_partial[w] = scan_slice(begin, end);
-        });
-        for (double p : ctx.nra_partial) {
-          best_potential = std::min(best_potential, p);
-        }
-      } else {
-        best_potential = std::min(best_potential, scan_slice(0, num_states));
-      }
-    }
-    finish_release(h, best_potential);
+    maybe_release(false);
   }
+
+  maybe_release(true);
   if (result.answers.size() < options_.k) {
     size_t before = result.answers.size();
-    MergedDrain(heaps, L, options_.k, &result.answers);
+    heap.Drain(options_.k, &result.answers);
     for (size_t i = before; i < result.answers.size(); ++i) {
       result.metrics.generated_times.push_back(result.answers[i].generated_at);
       result.metrics.output_times.push_back(timer.ElapsedSeconds());

@@ -28,12 +28,10 @@ namespace banks {
 /// the OutputHeap; §4.5's upper bound (tight NRA-style or the loose
 /// edge-score heuristic) gates release.
 ///
-/// Execution is a BSP round loop over kNumLanes fixed state lanes with
-/// per-(sender, receiver) mailboxes; `SearchOptions::shard_count` picks
-/// only how many workers execute the lanes, so every shard count —
-/// including the sequential shard-1 path, which runs the same loop with
-/// one worker — produces byte-identical answers and metrics (see
-/// src/README.md, "Parallel expansion").
+/// Execution is one sequential best-first loop: each iteration pops the
+/// most activated node of Q_in/Q_out (activation, then NodeId — a
+/// strict total order), explores its edges and drains the resulting
+/// Attach/Activate cascades before the next pop.
 class BidirectionalSearcher : public Searcher {
  public:
   using Searcher::Searcher;

@@ -30,28 +30,6 @@ struct SearchMetrics {
   uint64_t answers_generated = 0;
   uint64_t answers_output = 0;
 
-  /// BSP rounds executed by the expansion loop. For the Bidirectional
-  /// searcher a round is one pop phase + its cascade sub-rounds + the
-  /// release check; for the Backward searchers, whose expansion order
-  /// is a strict global argmin, a round is one settled pop. Identical
-  /// for every shard_count — round boundaries are part of the defined
-  /// search order, not an artifact of the thread count.
-  uint64_t bsp_rounds = 0;
-
-  /// Messages that crossed a lane boundary (appended to a mailbox whose
-  /// receiver differs from its sender, or staged frontier pushes whose
-  /// target lane differs from the popping lane). Deterministic given
-  /// the options. The Bidirectional searcher partitions into a fixed
-  /// lane count, so its value is also shard_count-invariant; the
-  /// Backward searchers partition into one lane per worker, so their
-  /// counts grow with shard_count (and are 0 at shard_count 1).
-  uint64_t cross_shard_messages = 0;
-
-  /// High-water mark of any single (sender, receiver) mailbox's message
-  /// count within one sub-round (Backward searchers: largest staged
-  /// push batch). Deterministic; gauges cascade burstiness.
-  uint64_t max_mailbox_depth = 0;
-
   /// Buffer-pool outcomes of the paged-graph adjacency/posting reads
   /// this search performed, and the number of kPageWait pauses taken.
   /// Like elapsed_seconds these are *execution-dependent*, not part of
@@ -59,6 +37,8 @@ struct SearchMetrics {
   /// depends on pool size, eviction history and concurrent queries, so
   /// differential tests must exclude them (answers and the counters
   /// above stay byte-identical regardless). All zero on resident graphs.
+  /// A read the search parked on (kPageWait) counts as a miss once its
+  /// pin completes, although the fetch made the page resident.
   uint64_t page_hits = 0;
   uint64_t page_misses = 0;
   uint64_t page_waits = 0;

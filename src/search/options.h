@@ -6,9 +6,6 @@
 
 namespace banks {
 
-class SearchContextPool;
-class ShardTeamPool;
-
 /// How per-keyword activation received over multiple edges is combined
 /// (§4.3): kMax reflects shortest-path tree scoring (paper default);
 /// kSum rewards confluence of many paths and powers the "near queries"
@@ -72,54 +69,22 @@ struct SearchOptions {
   /// degenerating into full-graph exploration. The §5.7 recall/precision
   /// harness validates that ordering quality survives. 0 disables.
   uint64_t release_patience = 512;
-
-  /// Shards of the intra-query frontier: the per-node search state
-  /// (Q_in/Q_out heaps, NodeId→state maps, §4.5 frontier-minimum heaps,
-  /// output buffers) is partitioned into this many NodeId ranges, and
-  /// the search's batched phases — candidate-tree materialization and
-  /// the release-bound scans — run one slice per worker thread. 1 (the
-  /// default) is the sequential path. Any shard count returns identical
-  /// answers and deterministic metrics: expansion follows a strict
-  /// total order (activation, then NodeId), so partitioning can never
-  /// reorder the search. 0 is treated as 1.
-  uint32_t shard_count = 1;
-
-  /// Scratch pool for shard worker threads (shard_count > 1): each
-  /// worker leases a SearchContext for its tree-building scratch.
-  /// Non-owning; null falls back to a per-query internal pool, which is
-  /// correct but cold — callers running query streams should share one
-  /// pool so worker scratch stays warm.
-  SearchContextPool* shard_pool = nullptr;
-
-  /// Worker-thread pool for sharded queries (shard_count > 1): the
-  /// search leases a warm ShardTeam per Resume slice instead of
-  /// spawning threads. Non-owning; null uses the process-wide
-  /// ShardTeamPool::Default(), which is the right choice for almost
-  /// everyone — pass an explicit pool only to isolate thread
-  /// accounting (tests, embedders with their own thread budgets).
-  ShardTeamPool* team_pool = nullptr;
 };
 
-/// Canonical 64-bit fingerprint (FNV-1a) over every *result-affecting*
-/// field of the options: k, dmax, lambda, mu, combine, bound,
-/// edge_filter, the two budgets, bound_check_interval and
-/// release_patience. Excluded by design: shard_count, shard_pool and
-/// team_pool — sharding is proven result-neutral (any shard count
-/// returns byte-identical answers), and the scratch/thread pools are
-/// execution details — so one cache entry serves a query at any
-/// parallelism. Floating
-/// fields hash by bit pattern: -0.0 vs 0.0 (or two NaN payloads) count
-/// as different options, which errs on the side of never aliasing two
-/// configurations that could differ.
+/// Canonical 64-bit fingerprint (FNV-1a) over every field of the
+/// options: k, dmax, lambda, mu, combine, bound, edge_filter, the two
+/// budgets, bound_check_interval and release_patience — all of them
+/// affect results. Floating fields hash by bit pattern: -0.0 vs 0.0 (or
+/// two NaN payloads) count as different options, which errs on the side
+/// of never aliasing two configurations that could differ.
 ///
 /// This is the options half of the AnswerCache key; equal fingerprints
 /// from distinct option sets are possible in principle (64-bit hash) but
 /// SameResultOptions gives the exact predicate when needed.
 uint64_t OptionsFingerprint(const SearchOptions& options);
 
-/// Exact field-wise equality over the same result-affecting set that
-/// OptionsFingerprint hashes (shard_count/shard_pool/team_pool
-/// ignored).
+/// Exact field-wise equality over the same field set that
+/// OptionsFingerprint hashes.
 bool SameResultOptions(const SearchOptions& a, const SearchOptions& b);
 
 }  // namespace banks

@@ -8,8 +8,7 @@ void OutputHeap::Reset() {
   index_.Clear();
   used_ = 0;  // slots_ keeps its records (and their vector capacity)
   pending_count_ = 0;
-  merge_scratch_.clear();
-  taken_sigs_.clear();
+  pick_scratch_.clear();
   cached_best_ = -1;
   cache_valid_ = true;
 }
@@ -49,11 +48,7 @@ bool OutputHeap::Insert(AnswerTree tree) {
 }
 
 bool OutputHeap::InsertCopy(const AnswerTree& tree) {
-  return InsertCopy(tree, tree.Signature(&sig_scratch_));
-}
-
-bool OutputHeap::InsertCopy(const AnswerTree& tree, uint64_t sig) {
-  Record* rec = Accept(tree, sig);
+  Record* rec = Accept(tree, tree.Signature(&sig_scratch_));
   if (rec == nullptr) return false;
   rec->tree = tree;  // copy-assign reuses the slot's vector capacity
   return true;
@@ -71,139 +66,52 @@ double OutputHeap::BestPendingScore() const {
   return pending_count_ == 0 ? -1 : cached_best_;
 }
 
-void OutputHeap::CollectReleasable(bool (*releasable)(const AnswerTree&,
-                                                      double),
-                                   double arg, uint32_t heap_tag,
-                                   std::vector<MergedPick>* out) const {
-  for (uint32_t i = 0; i < used_; ++i) {
-    if (slots_[i].released) continue;
-    if (releasable(slots_[i].tree, arg)) {
-      out->push_back(MergedPick{slots_[i].score, slots_[i].sig, heap_tag, i});
-    }
-  }
-}
-
-AnswerTree OutputHeap::TakeSlot(uint32_t slot) {
-  Record& rec = slots_[slot];
-  rec.released = true;
-  pending_count_--;
-  cache_valid_ = false;
-  return std::move(rec.tree);
-}
-
-void OutputHeap::DiscardSlot(uint32_t slot) {
-  Record& rec = slots_[slot];
-  rec.released = true;
-  pending_count_--;
-  cache_valid_ = false;
-}
-
-/// The shared release core: collects the releasable records of every
-/// heap, orders them globally by the canonical (score desc, sig asc)
-/// release order — heap tag as a final tie-break, reachable only for a
-/// cross-heap duplicate signature — and releases until `limit`. This is
-/// the single release path: the per-heap Release* members call it with
-/// count == 1, so "merging N shard heaps" and "one heap" are literally
-/// the same code ordering the same keys.
-void MergedReleaseIf(OutputHeap* heaps, size_t count,
-                     bool (*releasable)(const AnswerTree&, double), double arg,
-                     size_t limit, std::vector<AnswerTree>* out) {
-  using MergedPick = OutputHeap::MergedPick;
-  std::vector<MergedPick>& picks = heaps[0].merge_scratch_;
+void OutputHeap::ReleaseIf(bool (*releasable)(const AnswerTree&, double),
+                           double arg, size_t limit,
+                           std::vector<AnswerTree>* out) {
+  std::vector<Pick>& picks = pick_scratch_;
   picks.clear();
-  for (uint32_t h = 0; h < count; ++h) {
-    heaps[h].CollectReleasable(releasable, arg, h, &picks);
+  for (uint32_t i = 0; i < used_; ++i) {
+    const Record& rec = slots_[i];
+    if (!rec.released && releasable(rec.tree, arg)) {
+      picks.push_back(Pick{rec.score, rec.sig, i});
+    }
   }
-  std::sort(picks.begin(), picks.end(),
-            [](const MergedPick& a, const MergedPick& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.sig != b.sig) return a.sig < b.sig;
-              return a.heap < b.heap;
-            });
-  std::vector<uint64_t>& taken = heaps[0].taken_sigs_;
-  taken.clear();
-  for (const MergedPick& pick : picks) {
-    if (count > 1 &&
-        std::find(taken.begin(), taken.end(), pick.sig) != taken.end()) {
-      // A lower-scored copy of a signature already released this merge:
-      // a single heap would have rejected it at insert time. Discarded
-      // even once the limit is reached — otherwise the loser would
-      // survive as pending and be emitted by a later release.
-      heaps[pick.heap].DiscardSlot(pick.slot);
-      continue;
-    }
-    if (out->size() >= limit) {
-      if (count == 1) break;  // nothing left to do without dedup
-      continue;               // keep scanning for duplicates of taken sigs
-    }
-    out->push_back(heaps[pick.heap].TakeSlot(pick.slot));
-    if (count > 1) taken.push_back(pick.sig);
+  std::sort(picks.begin(), picks.end(), [](const Pick& a, const Pick& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.sig < b.sig;
+  });
+  for (const Pick& pick : picks) {
+    if (out->size() >= limit) break;
+    Record& rec = slots_[pick.slot];
+    rec.released = true;
+    pending_count_--;
+    cache_valid_ = false;
+    out->push_back(std::move(rec.tree));
   }
 }
 
 void OutputHeap::ReleaseWithScoreBound(double bound, size_t limit,
                                        std::vector<AnswerTree>* out) {
-  MergedReleaseWithScoreBound(this, 1, bound, limit, out);
+  ReleaseIf([](const AnswerTree& t, double b) { return t.score >= b; }, bound,
+            limit, out);
 }
 
 void OutputHeap::ReleaseWithEdgeBound(double max_eraw, size_t limit,
                                       std::vector<AnswerTree>* out) {
-  MergedReleaseWithEdgeBound(this, 1, max_eraw, limit, out);
-}
-
-void OutputHeap::ReleaseBest(size_t count, size_t limit,
-                             std::vector<AnswerTree>* out) {
-  MergedReleaseBest(this, 1, count, limit, out);
-}
-
-void OutputHeap::Drain(size_t limit, std::vector<AnswerTree>* out) {
-  MergedDrain(this, 1, limit, out);
-}
-
-void MergedReleaseWithScoreBound(OutputHeap* heaps, size_t count, double bound,
-                                 size_t limit, std::vector<AnswerTree>* out) {
-  MergedReleaseIf(
-      heaps, count,
-      [](const AnswerTree& t, double b) { return t.score >= b; }, bound,
-      limit, out);
-}
-
-void MergedReleaseWithEdgeBound(OutputHeap* heaps, size_t count,
-                                double max_eraw, size_t limit,
-                                std::vector<AnswerTree>* out) {
-  MergedReleaseIf(
-      heaps, count,
+  ReleaseIf(
       [](const AnswerTree& t, double b) { return t.edge_score_raw <= b; },
       max_eraw, limit, out);
 }
 
-void MergedReleaseBest(OutputHeap* heaps, size_t count, size_t release_count,
-                       size_t limit, std::vector<AnswerTree>* out) {
-  size_t capped = std::min(limit, out->size() + release_count);
-  MergedReleaseIf(
-      heaps, count, [](const AnswerTree&, double) { return true; }, 0,
-      capped, out);
+void OutputHeap::ReleaseBest(size_t count, size_t limit,
+                             std::vector<AnswerTree>* out) {
+  ReleaseIf([](const AnswerTree&, double) { return true; }, 0,
+            std::min(limit, out->size() + count), out);
 }
 
-void MergedDrain(OutputHeap* heaps, size_t count, size_t limit,
-                 std::vector<AnswerTree>* out) {
-  MergedReleaseIf(
-      heaps, count, [](const AnswerTree&, double) { return true; }, 0, limit,
-      out);
-}
-
-size_t MergedPendingCount(const OutputHeap* heaps, size_t count) {
-  size_t total = 0;
-  for (size_t h = 0; h < count; ++h) total += heaps[h].pending_count();
-  return total;
-}
-
-double MergedBestPendingScore(const OutputHeap* heaps, size_t count) {
-  double best = -1;
-  for (size_t h = 0; h < count; ++h) {
-    best = std::max(best, heaps[h].BestPendingScore());
-  }
-  return best;
+void OutputHeap::Drain(size_t limit, std::vector<AnswerTree>* out) {
+  ReleaseIf([](const AnswerTree&, double) { return true; }, 0, limit, out);
 }
 
 }  // namespace banks

@@ -25,24 +25,8 @@ namespace banks {
 /// through a warm SearchContext buffers a whole query without
 /// allocating. A released record is a tombstone: release is final, and
 /// every late duplicate of it is dropped outright.
-///
-/// Sharded searches keep one heap per signature shard (sig mod
-/// shard_count) and run every release through the Merged* functions
-/// below, which globally order the per-shard candidates before
-/// releasing — byte-identical to a single heap holding the union.
 class OutputHeap {
  public:
-  /// One releasable pending record, tagged with its owning heap: the
-  /// unit the merged release checks sort globally across shard-local
-  /// heaps. The (score desc, sig asc) order is the canonical release
-  /// order of a single heap, so merging preserves it exactly.
-  struct MergedPick {
-    double score;
-    uint64_t sig;
-    uint32_t heap;  // caller-assigned tag of the owning heap
-    uint32_t slot;
-  };
-
   /// Forgets all pending and released answers in O(live records),
   /// keeping every table and scratch capacity for the next query.
   void Reset();
@@ -58,10 +42,6 @@ class OutputHeap {
   /// for an owning copy — and an improved duplicate copies into the
   /// existing record's capacity.
   bool InsertCopy(const AnswerTree& tree);
-
-  /// InsertCopy with the signature already computed (sharded searchers
-  /// compute it once to route the candidate to its signature shard).
-  bool InsertCopy(const AnswerTree& tree, uint64_t sig);
 
   /// Moves every pending answer with score >= bound into *out (best
   /// first), stopping after *out reaches `limit` answers in total.
@@ -86,29 +66,7 @@ class OutputHeap {
   /// running max; releases invalidate it and the next call rescans.
   double BestPendingScore() const;
 
-  /// Appends every pending record satisfying releasable(tree, arg) to
-  /// *out, tagged with `heap_tag`. Pure scan: safe to run concurrently
-  /// across distinct heaps.
-  void CollectReleasable(bool (*releasable)(const AnswerTree&, double),
-                         double arg, uint32_t heap_tag,
-                         std::vector<MergedPick>* out) const;
-
-  /// Releases slot `slot` (from a MergedPick of this heap) and moves its
-  /// tree out. The record becomes a tombstone, as with the Release*
-  /// paths.
-  AnswerTree TakeSlot(uint32_t slot);
-
-  /// Tombstones slot `slot` without emitting it — how a merged release
-  /// drops the lower-scored copy of a signature that two heaps both
-  /// hold (a single heap would have rejected it at insert).
-  void DiscardSlot(uint32_t slot);
-
  private:
-  friend void MergedReleaseIf(OutputHeap* heaps, size_t count,
-                              bool (*releasable)(const AnswerTree&, double),
-                              double arg, size_t limit,
-                              std::vector<AnswerTree>* out);
-
   /// One answer seen this query. Pending records hold the best buffered
   /// copy; released records are tombstones (their tree is moved out and
   /// late duplicates of their signature are dropped). Slots survive
@@ -121,49 +79,33 @@ class OutputHeap {
     bool released = false;
   };
 
+  /// A releasable pending record in the canonical release order
+  /// (score desc, signature asc).
+  struct Pick {
+    double score;
+    uint64_t sig;
+    uint32_t slot;
+  };
+
   /// Finds/creates the record for `tree`'s signature and decides
   /// acceptance; returns the record to fill, or nullptr for rejection.
   Record* Accept(const AnswerTree& tree, uint64_t sig);
+
+  /// The shared release core: moves the pending records satisfying
+  /// releasable(tree, arg) into *out, best first, until *out holds
+  /// `limit` answers.
+  void ReleaseIf(bool (*releasable)(const AnswerTree&, double), double arg,
+                 size_t limit, std::vector<AnswerTree>* out);
 
   FlatHashMap<uint64_t, uint32_t> index_;  // signature → slot
   std::vector<Record> slots_;              // recycled across Reset()
   size_t used_ = 0;                        // live slot count this query
   size_t pending_count_ = 0;
-  // Merged-release scratch, pooled on the first heap of a shard set.
-  std::vector<MergedPick> merge_scratch_;
-  std::vector<uint64_t> taken_sigs_;
+  std::vector<Pick> pick_scratch_;         // ReleaseIf scratch, pooled
   AnswerTree::SignatureScratch sig_scratch_;
   mutable double cached_best_ = -1;
   mutable bool cache_valid_ = true;
 };
-
-// ---- Merged release checks over per-shard heaps ---------------------------
-// `heaps[0..count)` are the shard-local output buffers of one search.
-// Each function is byte-identical to calling the corresponding member on
-// a single heap holding the union of the records, provided no signature
-// is pending in two heaps — which the sig-mod-shard routing guarantees.
-// (Should two heaps nonetheless hold one signature, the higher-scored
-// copy wins and the other is tombstoned, matching insert-time
-// suppression, as long as both pass the release predicate together —
-// Drain/ReleaseBest always do.)
-
-size_t MergedPendingCount(const OutputHeap* heaps, size_t count);
-
-/// Best pending score across the shard heaps, or -1 when none pending.
-double MergedBestPendingScore(const OutputHeap* heaps, size_t count);
-
-void MergedReleaseWithScoreBound(OutputHeap* heaps, size_t count, double bound,
-                                 size_t limit, std::vector<AnswerTree>* out);
-
-void MergedReleaseWithEdgeBound(OutputHeap* heaps, size_t count,
-                                double max_eraw, size_t limit,
-                                std::vector<AnswerTree>* out);
-
-void MergedReleaseBest(OutputHeap* heaps, size_t count, size_t release_count,
-                       size_t limit, std::vector<AnswerTree>* out);
-
-void MergedDrain(OutputHeap* heaps, size_t count, size_t limit,
-                 std::vector<AnswerTree>* out);
 
 }  // namespace banks
 

@@ -17,12 +17,10 @@ void SearchContext::StreamState::Reset() {
   m.propagation_steps = 0;
   m.answers_generated = 0;
   m.answers_output = 0;
-  m.bsp_rounds = 0;
-  m.cross_shard_messages = 0;
-  m.max_mailbox_depth = 0;
   m.page_hits = 0;
   m.page_misses = 0;
   m.page_waits = 0;
+  m.io_errors = 0;
   m.elapsed_seconds = 0;
   m.generated_times.clear();
   m.output_times.clear();
@@ -32,19 +30,13 @@ void SearchContext::StreamState::Reset() {
   last_top = -1;
   elapsed = 0;
   page_fault_retries = 0;
+  page_fetch_pending = false;
 }
 
-void SearchContext::BeginQuery(size_t num_keywords, uint32_t shard_count) {
+void SearchContext::BeginQuery(size_t num_keywords) {
   ++queries_started_;
-  active_shards_ = std::max<uint32_t>(1, shard_count);
 
   node_index.Clear();
-  // Lane-partitioned pools have a fixed kNumLanes slots regardless of
-  // shard_count (the worker count must not shape the search), so the
-  // first query sizes them once and every later query is growth-free.
-  if (node_shard_index.size() < kNumLanes) node_shard_index.resize(kNumLanes);
-  for (auto& m : node_shard_index) m.Clear();
-
   node.clear();
   depth.clear();
   state_flags.clear();
@@ -60,70 +52,34 @@ void SearchContext::BeginQuery(size_t num_keywords, uint32_t shard_count) {
   act.clear();
   act_sum.clear();
   edge_lists.Clear();
-  edge_links.Clear();
-  if (lane_edge_flags.size() < kNumLanes) lane_edge_flags.resize(kNumLanes);
-  for (auto& m : lane_edge_flags) m.Clear();
-  if (qin.size() < kNumLanes) qin.resize(kNumLanes);
-  if (qout.size() < kNumLanes) qout.resize(kNumLanes);
-  if (qin_depth.size() < kNumLanes) qin_depth.resize(kNumLanes);
-  if (qout_depth.size() < kNumLanes) qout_depth.resize(kNumLanes);
-  for (auto& h : qin) h.Clear();
-  for (auto& h : qout) h.Clear();
-  for (auto& h : qin_depth) h.Clear();
-  for (auto& h : qout_depth) h.Clear();
-  const size_t min_dist_slots = kNumLanes * num_keywords;
-  if (min_dist.size() < min_dist_slots) min_dist.resize(min_dist_slots);
+  edge_flags.Clear();
+  qin.Clear();
+  qout.Clear();
+  qin_depth.Clear();
+  qout_depth.Clear();
+  if (min_dist.size() < num_keywords) min_dist.resize(num_keywords);
   for (auto& h : min_dist) h.Clear();
   dirty_roots.clear();
   best_eraws.clear();
   // The Attach/Activate loops drain their queues before returning, so
   // these are only non-empty if a previous query aborted mid-propagation
   // (e.g. via an exception unwinding through Search).
-  if (attach_queues.size() < kNumLanes) attach_queues.resize(kNumLanes);
-  if (activate_queues.size() < kNumLanes) activate_queues.resize(kNumLanes);
-  for (auto& q : attach_queues) {
-    while (!q.empty()) q.pop();
-  }
-  for (auto& q : activate_queues) {
-    while (!q.empty()) q.pop();
-  }
+  while (!attach_queue.empty()) attach_queue.pop();
+  while (!activate_queue.empty()) activate_queue.pop();
   bound_scratch.clear();
 
-  const size_t mailbox_slots = 2 * kNumLanes * kNumLanes;  // double-banked
-  if (mailboxes.size() < mailbox_slots) mailboxes.resize(mailbox_slots);
-  for (auto& box : mailboxes) box.Clear();
-  lane_pop.assign(kNumLanes, 0);
-  if (lane_counters.size() < kNumLanes) lane_counters.resize(kNumLanes);
-  for (auto& c : lane_counters) c.Reset();
-  if (lane_dirty.size() < kNumLanes) lane_dirty.resize(kNumLanes);
-  for (auto& d : lane_dirty) d.clear();
-  if (si_stage.size() < kNumLanes) si_stage.resize(kNumLanes);
-  for (auto& s : si_stage) s.clear();
-  if (sched_stage.size() < kNumLanes) sched_stage.resize(kNumLanes);
-  for (auto& s : sched_stage) s.clear();
-
-  if (output_heaps.size() < kNumLanes) output_heaps.resize(kNumLanes);
-  for (auto& h : output_heaps) h.Reset();
+  output_heap.Reset();
   kw_scratch.clear();
   union_edge_scratch.clear();
   uniq_scratch.clear();
-  // cand_trees keeps its slots (their vectors' capacity is recycled by
-  // the next batch's copy-assignments); cand_state/cand_eraw are sized
-  // per batch by the searcher.
-  cand_state.clear();
-  cand_eraw.clear();
-  nra_partial.clear();
-  shard_minima.clear();
 
   for (auto& m : reach_maps) m.Clear();
   frontiers.Clear();
   iter_keyword.clear();
   iter_origin.clear();
-  if (scheduler.size() < kNumLanes) scheduler.resize(kNumLanes);
-  for (auto& s : scheduler) s.clear();
+  scheduler.clear();
   id_scratch.clear();
-  if (si_frontier.size() < kNumLanes) si_frontier.resize(kNumLanes);
-  for (auto& s : si_frontier) s.clear();
+  si_frontier.clear();
   visit_dist.clear();
   visit_iter.clear();
   visit_covered.clear();

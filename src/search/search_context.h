@@ -13,7 +13,6 @@
 #include "search/flat_hash.h"
 #include "search/metrics.h"
 #include "search/output_heap.h"
-#include "search/sharding.h"
 #include "search/tree_builder.h"
 #include "util/indexed_heap.h"
 
@@ -93,41 +92,30 @@ inline constexpr uint8_t kStatePoppedOut = 1u << 1;   // member of X_out
 inline constexpr uint8_t kStateEverInQout = 1u << 2;  // entered Q_out once
 inline constexpr uint8_t kStateDirty = 1u << 3;       // awaiting materialize
 
-// Per-edge flag bits of the edge-flag maps, keyed by the state pair
-// (su << 32 | sv) of a directed explored edge u→v. Each bit lives in
-// the map whose only writer is the phase that tests it, so no map ever
-// needs locking:
-//   SearchContext::edge_links (coordinator-owned; written only by the
-//     sequential discovery pass): kEdgeParentLinked (P_sv got the su
-//     entry) and kEdgeChildLinked (C_su got the sv entry) share one
-//     lookup per explore message.
-//   lane_edge_flags[lane(sv)]: kEdgeSpreadOut (forward activation u→v
-//     applied; written by lane(sv) when it applies kExploreOut).
-//   lane_edge_flags[lane(su)]: kEdgeSpreadIn (backward activation v→u
-//     applied; written by lane(su) on kExploreIn apply).
-// The spread bits stay per-lane because both apply concurrently in the
-// same phase for the same edge key.
-inline constexpr uint8_t kEdgeParentLinked = 1u << 0;
-inline constexpr uint8_t kEdgeChildLinked = 1u << 1;
-inline constexpr uint8_t kEdgeSpreadIn = 1u << 2;
-inline constexpr uint8_t kEdgeSpreadOut = 1u << 3;
+// Per-edge flag bits of SearchContext::edge_flags, keyed by the state
+// pair (su << 32 | sv) of a directed explored edge u→v.
+inline constexpr uint8_t kEdgeRecorded = 1u << 0;   // P_v/C_u linked, relaxed
+inline constexpr uint8_t kEdgeSpreadIn = 1u << 1;   // activation v→u spread
+inline constexpr uint8_t kEdgeSpreadOut = 1u << 2;  // activation u→v spread
 
-/// Per-lane metric accumulators of the BSP expansion loop. Workers
-/// count into their own lane's slot during parallel phases; the
-/// coordinator merges the slots into SearchMetrics at each round end
-/// (in lane order, so the merged totals are deterministic).
-struct LaneCounters {
-  uint64_t explored = 0;     // pops processed
-  uint64_t touched = 0;      // frontier insertions
-  uint64_t relaxed = 0;      // edges examined past the filter
-  uint64_t propagation = 0;  // Attach/Activate list-element visits
-  uint64_t cross_msgs = 0;   // messages sent to a different lane
-  uint64_t max_box = 0;      // deepest single mailbox seen
-  uint64_t page_hits = 0;    // paged adjacency pins served from the pool
-  uint64_t page_misses = 0;  // paged adjacency pins that had to read
-  uint64_t io_errors = 0;    // paged adjacency pins whose read failed
+/// Frontier priority of the Bidirectional Q_in/Q_out queues: activation
+/// first (the paper's prioritization), NodeId as a strict tie-break.
+/// With a strict *total* order the next pop is a property of the
+/// frontier's contents alone, not of the heap's internal layout, so the
+/// expansion order is reproducible across contexts, pauses and graph
+/// representations.
+struct ActPriority {
+  double act = 0;
+  NodeId node = kInvalidNode;
 
-  void Reset() { *this = LaneCounters{}; }
+  /// std::priority_queue convention: a < b means a pops *after* b.
+  /// Higher activation wins; equal activation falls to the smaller
+  /// NodeId. Incomparable duplicates cannot arise: a node is in a given
+  /// queue at most once.
+  friend bool operator<(const ActPriority& a, const ActPriority& b) {
+    if (a.act != b.act) return a.act < b.act;
+    return a.node > b.node;
+  }
 };
 
 /// Best known backward path from a node toward one keyword's origin
@@ -198,23 +186,12 @@ class FrontierPool {
 /// vectors indexed by state index (node ids, depths, packed flag bytes,
 /// materialization bookkeeping, explored-edge list refs), matching the
 /// layout of the per-keyword dist/sp/act pools. The hot explore loop
-/// touches only the arrays it actually reads, and shard workers scanning
-/// states by contiguous index range never false-share a record.
-///
-/// Frontier structures are partitioned into the kNumLanes BSP lanes:
-/// the queue heaps, per-lane NodeId→state maps, §4.5 frontier-minimum
-/// heaps, output buffers and mailboxes are vectors with a fixed
-/// kNumLanes elements, all live for every query. The lane count never
-/// depends on SearchOptions::shard_count (which only picks the worker
-/// thread count), so a context warmed at one shard count serves any
-/// other without reallocation and — more importantly — without any
-/// change to the search order.
+/// touches only the arrays it actually reads.
 ///
 /// A context is scratch space, not a result: it carries no information
 /// across queries other than capacity, and a query run through a warm
 /// context returns byte-identical answers to one run through a fresh
-/// context. Not thread-safe; use one context per thread — shard workers
-/// get their own leased contexts for scratch and only read this one.
+/// context. Not thread-safe; use one context per thread.
 class SearchContext {
  public:
   using ScoredState = std::pair<double, uint32_t>;
@@ -280,6 +257,10 @@ class SearchContext {
     /// Probe-skip threshold for the thrash escape above.
     static constexpr uint32_t kMaxPageFaultRetries = 3;
 
+    /// Set when a slice ends in kPageWait; the next adjacency pin books
+    /// as a page miss (SliceGuard::BookPin) and clears it.
+    bool page_fetch_pending = false;
+
     /// Forgets the current query, keeping result-vector capacity.
     void Reset();
   };
@@ -309,17 +290,10 @@ class SearchContext {
     return out;
   }
 
-  /// Resets all pools for a query over `num_keywords` keywords to be
-  /// run with `shard_count` worker threads. The lane partition of the
-  /// frontier pools is always kNumLanes — shard_count is recorded for
-  /// the searchers' worker-count decisions only and never changes any
-  /// pool's shape. O(live state of the previous query),
-  /// allocation-free once pools are warm.
-  void BeginQuery(size_t num_keywords, uint32_t shard_count = 1);
-
-  /// Shard count of the current query (set by BeginQuery; >= 1). The
-  /// requested worker parallelism, NOT the lane count (kNumLanes).
-  uint32_t active_shards() const { return active_shards_; }
+  /// Resets all pools for a query over `num_keywords` keywords.
+  /// O(live state of the previous query), allocation-free once pools
+  /// are warm.
+  void BeginQuery(size_t num_keywords);
 
   /// Number of BeginQuery calls, i.e. queries served (diagnostics).
   uint64_t queries_started() const { return queries_started_; }
@@ -334,19 +308,10 @@ class SearchContext {
   size_t num_states() const { return node.size(); }
 
   // ---- Shared: node → dense index -----------------------------------------
+  // Bidirectional: NodeId → state index + 1 into the per-state arrays.
   // Backward MI:   NodeId → visit index into the visit_* pools.
   // Backward SI:   NodeId → count of keywords with a finite distance.
-  // (Bidirectional keeps its NodeId→state maps per shard, below.)
   FlatHashMap<NodeId, uint32_t> node_index;
-
-  // Bidirectional: NodeId → state index + 1 into the per-state arrays,
-  // one map per lane — a node is looked up only in the map of the lane
-  // owning its NodeId range. State indices stay global (assigned in
-  // discovery order, which the canonical round structure makes
-  // worker-count-independent), so every flat per-state array below is
-  // shared. Maps are written only in the coordinator's sequential
-  // discovery pass; parallel phases read them freely.
-  std::vector<FlatHashMap<NodeId, uint32_t>> node_shard_index;
 
   // ---- Bidirectional per-state arrays (SoA, parallel) ---------------------
   std::vector<NodeId> node;        // state → discovered node id
@@ -367,102 +332,43 @@ class SearchContext {
   std::vector<uint32_t> sp;     // next state toward keyword, or sentinel
   std::vector<double> act;      // per-keyword activation
   std::vector<double> act_sum;  // per-state total activation (queue key)
-  // P_u / C_u arena. Single shared arena: lists are appended only in
-  // the coordinator's sequential discovery pass, so parallel phases see
-  // a read-only arena and never race.
-  EdgeListPool edge_lists;
-  // (su << 32 | sv) state pair → explored-edge flag bits (kEdge*; see
-  // the flag-bit ownership comment above). edge_links holds the two
-  // linking bits and is touched only by the coordinator's sequential
-  // discovery pass; the per-lane maps hold the spread bits written by
-  // the owning lane during the apply phase.
-  FlatHashMap<uint64_t, uint8_t> edge_links;
-  std::vector<FlatHashMap<uint64_t, uint8_t>> lane_edge_flags;
-  // Per-lane frontiers: element l holds the states whose NodeId falls
-  // in lane l's range, keyed by global state index with an ActPriority
-  // (activation, NodeId) total order — "the best of a lane" is a
-  // deterministic property of the frontier contents, which is what lets
-  // the per-round pop set be defined from the heap tops alone.
-  std::vector<IndexedHeap<ActPriority>> qin;
-  std::vector<IndexedHeap<ActPriority>> qout;
-  // Per (lane, keyword) min-dist over frontier states; the §4.5 tight
-  // bound m_i reduces min over the lane heaps at index l*n + i.
+  EdgeListPool edge_lists;      // P_u / C_u arena
+  // (su << 32 | sv) state pair → explored-edge flag bits (kEdge*).
+  FlatHashMap<uint64_t, uint8_t> edge_flags;
+  // Q_in / Q_out, keyed by state index under the (activation, NodeId)
+  // total order.
+  IndexedHeap<ActPriority> qin;
+  IndexedHeap<ActPriority> qout;
+  // Per-keyword min-dist over frontier states (§4.5 tight bound m_i).
   std::vector<IndexedHeap<double, std::greater<double>>> min_dist;
-  // Min-depth over each queue lane (fallback bound when no distance
-  // known); the depth floor reduces min across lanes.
-  std::vector<IndexedHeap<uint32_t, std::greater<uint32_t>>> qin_depth;
-  std::vector<IndexedHeap<uint32_t, std::greater<uint32_t>>> qout_depth;
+  // Min-depth over each queue (fallback bound when no distance known).
+  IndexedHeap<uint32_t, std::greater<uint32_t>> qin_depth;
+  IndexedHeap<uint32_t, std::greater<uint32_t>> qout_depth;
   std::vector<uint32_t> dirty_roots;  // completed, awaiting materialization
   // Max-heap (push_heap/pop_heap) of the k smallest generated eraws:
   // the top-k watermark that prunes late completions.
   std::vector<double> best_eraws;
-  // Drained-to-empty cascade queues of Attach / Activate (§4.2.1,
-  // §4.3), one pair per lane: a lane's cascade runs on its own queue,
-  // and cross-lane hops leave through the mailboxes instead.
-  std::vector<std::priority_queue<ScoredState, std::vector<ScoredState>,
-                                  std::greater<ScoredState>>>
-      attach_queues;
-  std::vector<std::priority_queue<ScoredState>> activate_queues;
+  // Drained-to-empty cascade queues of Attach / Activate (§4.2.1, §4.3).
+  std::priority_queue<ScoredState, std::vector<ScoredState>,
+                      std::greater<ScoredState>>
+      attach_queue;
+  std::priority_queue<ScoredState> activate_queue;
   std::vector<double> bound_scratch;  // per-keyword m_i in release checks
 
-  // ---- BSP mailboxes & per-lane round scratch -----------------------------
-  // Double-banked (sender, receiver) mailboxes:
-  // index = bank * L² + sender * L + receiver, L = kNumLanes. A phase
-  // consumes bank b while appending to bank b^1; each (box, phase) has
-  // exactly one writer (the sender lane), so appends are lock-free by
-  // construction. Capacity persists across rounds and queries.
-  std::vector<LaneMailbox> mailboxes;
-  // Per-lane pop decision of the current round: 0 = sit out, 1 = pop
-  // from Q_in, 2 = pop from Q_out. Written by the coordinator's control
-  // section, read by every worker after the round barrier.
-  std::vector<uint8_t> lane_pop;
-  // Per-lane metric accumulators, merged at round end.
-  std::vector<LaneCounters> lane_counters;
-  // Per-lane emit lists of the current round, concatenated into
-  // dirty_roots in lane order at the round barrier.
-  std::vector<std::vector<uint32_t>> lane_dirty;
-  // Backward-SI / MI staging of cross-lane frontier pushes: relaxations
-  // of one settled pop collect here (element = target lane) and apply
-  // in lane order once the pop completes — the shared-frontier
-  // equivalent of the mailbox applied-at-barrier discipline.
-  std::vector<std::vector<SIFrontierEntry>> si_stage;
-  std::vector<std::vector<ScoredState>> sched_stage;
-
   // ---- Answer buffering / materialization ---------------------------------
-  // The §4.3 output buffer, partitioned by answer signature (sig mod
-  // kNumLanes): a signature deterministically owns one lane-local heap,
-  // so duplicate suppression is exact without cross-lane coordination,
-  // and the release checks merge the per-lane heaps (MergedRelease*) —
-  // proven identical to a single heap for any heap count. Pooled:
-  // signature tables and release scratch keep their capacity across
-  // queries.
-  std::vector<OutputHeap> output_heaps;
+  // The §4.3 output buffer. Pooled: its signature table and record
+  // slots keep their capacity across queries.
+  OutputHeap output_heap;
   // Union-Dijkstra scratch of BuildAnswerFromPathUnion.
   TreeBuilderScratch tree_scratch;
   // Candidate tree, rebuilt in place per materialization; the output
   // heap copies it only on accept (OutputHeap::InsertCopy), so rejected
   // duplicates never allocate.
   AnswerTree answer_scratch;
-  // Signature scratch for routing candidates to their output shard.
-  AnswerTree::SignatureScratch sig_scratch;
   // Per-materialization path-union scratch (keyword nodes + edges).
   std::vector<NodeId> kw_scratch;
   std::vector<AnswerEdge> union_edge_scratch;
   std::vector<NodeId> uniq_scratch;  // per-keyword origin dedup at seeding
-  // Staging slots of the two-phase materialization batch: shard workers
-  // build candidate trees for the marked roots in parallel (pure reads
-  // of the settled dist/sp state into these recycled slots), then the
-  // coordinator replays the accept decisions — watermark, duplicate
-  // suppression, metrics — sequentially in mark order, so the batch is
-  // byte-identical to materializing one root at a time.
-  std::vector<AnswerTree> cand_trees;   // never shrinks; capacity recycled
-  std::vector<uint8_t> cand_state;      // per-root build outcome (kCand*)
-  std::vector<double> cand_eraw;        // per-root raw edge score
-  // Per-shard partial results of the batched reduction phases: the
-  // §4.5 NRA scan minima (one slot per shard) and MI's per-(shard,
-  // keyword) frontier minima (shard*n + i).
-  std::vector<double> nra_partial;
-  std::vector<double> shard_minima;
 
   // ---- Backward MI / SI pools ---------------------------------------------
   // One Dijkstra reach map per MI iterator / SI keyword.
@@ -472,15 +378,12 @@ class SearchContext {
   // MI iterator records, SoA: keyword and origin per iterator.
   std::vector<uint32_t> iter_keyword;
   std::vector<NodeId> iter_origin;
-  // MI scheduler, partitioned by iterator origin lane: (peek dist,
-  // iter idx) min-heap storage per lane; the next step is the argmin
-  // over lane tops (the pair order is already total, so partitioning
-  // never reorders the schedule).
-  std::vector<std::vector<ScoredState>> scheduler;
+  // MI scheduler: (peek dist, iter idx) min-heap storage.
+  std::vector<ScoredState> scheduler;
   std::vector<uint32_t> id_scratch;  // MI emit: chosen iterator per keyword
-  // SI shared frontier, partitioned by node lane: (dist, node, keyword)
-  // min-heap storage per lane under a lexicographic total order.
-  std::vector<std::vector<SIFrontierEntry>> si_frontier;
+  // SI shared frontier: (dist, node, keyword) min-heap storage under a
+  // lexicographic total order.
+  std::vector<SIFrontierEntry> si_frontier;
   // MI visit records in flat pools: best dist/iterator per keyword
   // (visit_index * n + keyword) and per-visit covered-keyword count.
   std::vector<double> visit_dist;
@@ -489,7 +392,6 @@ class SearchContext {
 
  private:
   uint64_t queries_started_ = 0;
-  uint32_t active_shards_ = 1;
 };
 
 }  // namespace banks

@@ -3,8 +3,22 @@
 #include "search/backward_mi.h"
 #include "search/backward_si.h"
 #include "search/bidirectional.h"
+#include "storage/buffer_pool.h"
 
 namespace banks {
+
+bool SliceGuard::BookPin(const PagePin& pin) const {
+  SearchMetrics& m = ss_->result.metrics;
+  if (pin.failed()) {
+    ++m.io_errors;
+    return false;
+  }
+  if (!pin.empty()) {
+    ++(pin.hit() && !ss_->page_fetch_pending ? m.page_hits : m.page_misses);
+    ss_->page_fetch_pending = false;
+  }
+  return true;
+}
 
 SearchResult Searcher::Search(const std::vector<std::vector<NodeId>>& origins) {
   if (!owned_context_) owned_context_ = std::make_unique<SearchContext>();

@@ -13,6 +13,8 @@
 
 namespace banks {
 
+class PagePin;  // storage/buffer_pool.h
+
 /// The three algorithms compared in the paper (§3, §4.6, §4).
 enum class Algorithm {
   kBackwardMI,     // multiple-iterator Backward expanding search [3]
@@ -31,13 +33,10 @@ const char* AlgorithmName(Algorithm algorithm);
 /// metrics as an uninterrupted run.
 ///
 /// Granularity: the bounds are checked between loop iterations only —
-/// for the Bidirectional searcher an iteration is one whole BSP round
-/// (pop phase + cascade sub-rounds + release check), for the Backward
-/// searchers one settled pop. A sharded search therefore pauses only on
-/// round boundaries and max_steps may overshoot by the tail of the
-/// round in flight; since round boundaries are part of the defined
-/// search order, the pause points are identical at every shard count
-/// (see src/README.md, "Parallel expansion").
+/// one complete expansion (the popped node's edges explored and, for
+/// the Bidirectional searcher, its Attach/Activate cascades drained,
+/// then the release check). max_steps = 1 therefore pauses after every
+/// expansion.
 struct StepLimits {
   /// Pause once the stream result holds at least this many released
   /// answers (an absolute count, not a per-slice increment). This is
@@ -154,8 +153,17 @@ class SliceGuard {
     ss_->elapsed = ss_->result.metrics.elapsed_seconds;
     ++ss_->result.metrics.page_waits;
     ++ss_->page_fault_retries;
+    ss_->page_fetch_pending = true;
     return SearchStatus::kPageWait;
   }
+
+  /// Books the buffer-pool outcome of one adjacency pin into the page
+  /// metrics. The first pin after a kPageWait counts as a miss even
+  /// though the fetch made the page resident: the read missed the pool,
+  /// it was just served while the search was parked. False (after
+  /// counting the error) when the read failed — the expansion saw a
+  /// partial neighbourhood and the caller must end with IoError().
+  bool BookPin(const PagePin& pin) const;
 
   /// Terminal page-read failure: books elapsed time, marks the stream
   /// done (further Resumes are no-ops) and returns kIoError. The caller
@@ -208,12 +216,6 @@ class Searcher {
   /// SearchContext (Engine::QueryBatch shares one searcher across its
   /// worker threads this way).
   ///
-  /// With SearchOptions::shard_count > 1 the search shards its frontier
-  /// by NodeId range and runs its batched phases on worker threads
-  /// (scratch leased from SearchOptions::shard_pool); results are
-  /// byte-identical to shard_count = 1 — expansion follows a strict
-  /// total order that partitioning cannot change.
-  ///
   /// Implemented as Reset + one unbounded Resume slice, so a drained
   /// search and a streamed one run the identical state machine.
   SearchResult Search(const std::vector<std::vector<NodeId>>& origins,
@@ -240,7 +242,7 @@ class Searcher {
   ///
   /// Pausing is behavior-neutral (see StepLimits): pulling answers one
   /// at a time yields exactly the drained run's sequence, prefix by
-  /// prefix, at any shard count.
+  /// prefix.
   virtual SearchStatus Resume(const std::vector<std::vector<NodeId>>& origins,
                               SearchContext* context,
                               const StepLimits& limits) const = 0;

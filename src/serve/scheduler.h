@@ -47,7 +47,6 @@ struct SchedulerOptions {
   size_t max_queued = 1024;
 
   /// Node-expansion budget of one quantum (StepLimits::max_steps).
-  /// Sharded Bidirectional searches honor it at BSP-round granularity.
   uint64_t quantum_steps = 256;
 
   /// Wall-clock bound of one quantum in seconds (0 = steps-only). Also

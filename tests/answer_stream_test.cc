@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "banks/engine.h"
@@ -40,23 +42,35 @@ void ExpectSameAnswers(const std::vector<AnswerTree>& got,
   }
 }
 
-// ---- Differential sweep: algorithm × bound mode × shard count -------------
+// ---- Differential sweep: algorithm × bound mode × copies × step budget ----
 
 struct StreamCase {
   Algorithm algorithm;
   BoundMode bound;
+  /// StreamOptions::step_budget of every stream the sweep opens: 0 runs
+  /// each pull to its answer, 1 pauses after every single expansion.
+  uint8_t step_budget;
+  /// Copies of the query in flight while the test body runs: the body
+  /// itself plus `shards - 1` drained copies on other threads, sharing
+  /// the searcher, each of which must reproduce the reference. (The
+  /// name is the instance suffix `ShardsN`, kept from when N was the
+  /// intra-query shard count; parallelism is now across queries.)
   uint32_t shards;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<StreamCase>& info) {
-  std::string name = AlgorithmName(info.param.algorithm);
+  const StreamCase& c = info.param;
+  std::string name = AlgorithmName(c.algorithm);
   name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-  switch (info.param.bound) {
+  switch (c.bound) {
     case BoundMode::kTight: name += "Tight"; break;
     case BoundMode::kLoose: name += "Loose"; break;
     case BoundMode::kImmediate: name += "Immediate"; break;
   }
-  name += "Shards" + std::to_string(info.param.shards);
+  name += "Shards" + std::to_string(c.shards);
+  if (c.step_budget != 0) {
+    name += "StepBudget" + std::to_string(c.step_budget);
+  }
   return name;
 }
 
@@ -66,7 +80,18 @@ std::vector<StreamCase> AllCases() {
                       Algorithm::kBidirectional}) {
     for (BoundMode b :
          {BoundMode::kTight, BoundMode::kLoose, BoundMode::kImmediate}) {
-      for (uint32_t s : {1u, 4u}) cases.push_back({a, b, s});
+      for (auto [budget, shards] : {std::pair<uint8_t, uint32_t>{0, 1},
+                                    {0, 4},
+                                    {1, 1}}) {
+        // Value-initialized, so the padding gtest prints in the test
+        // name is zero rather than stack garbage.
+        StreamCase c{};
+        c.algorithm = a;
+        c.bound = b;
+        c.step_budget = budget;
+        c.shards = shards;
+        cases.push_back(c);
+      }
     }
   }
   return cases;
@@ -80,15 +105,44 @@ class AnswerStreamSweep : public ::testing::TestWithParam<StreamCase> {
     origins_ = {{0, 1, 2}, {3, 4, 5}};
     options_.k = 6;
     options_.bound = GetParam().bound;
-    options_.shard_count = GetParam().shards;
     searcher_ = CreateSearcher(GetParam().algorithm, graph_, prestige_,
                                options_);
     reference_ = searcher_->Search(origins_, &reference_context_);
+    copies_ = std::make_unique<testing::BackgroundCopies>(
+        GetParam().shards - 1, [this] {
+          SearchContext context;
+          SearchResult r = searcher_->Search(origins_, &context);
+          if (r.answers.size() != reference_.answers.size()) return false;
+          for (size_t i = 0; i < r.answers.size(); ++i) {
+            if (!SameAnswer(r.answers[i], reference_.answers[i])) return false;
+          }
+          return r.metrics.nodes_explored == reference_.metrics.nodes_explored;
+        });
   }
 
+  void TearDown() override {
+    if (copies_ != nullptr) {
+      EXPECT_EQ(copies_->Join(), 0u) << "a concurrent copy diverged";
+    }
+  }
+
+  /// Opens a stream under the case's step budget (unless the caller
+  /// sets its own).
   AnswerStream Open(SearchContext* context,
-                    const StreamOptions& stream_options = {}) {
+                    StreamOptions stream_options = {}) {
+    if (stream_options.step_budget == 0) {
+      stream_options.step_budget = GetParam().step_budget;
+    }
     return AnswerStream(searcher_.get(), origins_, stream_options, context);
+  }
+
+  /// Next answer, resuming through step-budget pauses; nullopt once the
+  /// stream is exhausted.
+  static std::optional<AnswerTree> Pull(AnswerStream& stream) {
+    for (;;) {
+      std::optional<AnswerTree> answer = stream.Next();
+      if (answer.has_value() || !stream.hit_limit()) return answer;
+    }
   }
 
   Graph graph_;
@@ -98,6 +152,7 @@ class AnswerStreamSweep : public ::testing::TestWithParam<StreamCase> {
   std::unique_ptr<Searcher> searcher_;
   SearchContext reference_context_;
   SearchResult reference_;
+  std::unique_ptr<testing::BackgroundCopies> copies_;
 };
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AnswerStreamSweep,
@@ -109,7 +164,7 @@ TEST_P(AnswerStreamSweep, FullPullMatchesDrained) {
   SearchContext context;
   AnswerStream stream = Open(&context);
   std::vector<AnswerTree> pulled;
-  while (auto answer = stream.Next()) pulled.push_back(std::move(*answer));
+  while (auto answer = Pull(stream)) pulled.push_back(std::move(*answer));
   EXPECT_TRUE(stream.done());
   EXPECT_FALSE(stream.hit_limit());
   ASSERT_EQ(pulled.size(), reference_.answers.size());
@@ -127,7 +182,7 @@ TEST_P(AnswerStreamSweep, EveryPrefixMatchesDrained) {
     AnswerStream stream = Open(&context);
     std::vector<AnswerTree> pulled;
     for (size_t i = 0; i < n; ++i) {
-      auto answer = stream.Next();
+      auto answer = Pull(stream);
       ASSERT_TRUE(answer.has_value()) << "prefix " << n << " pull " << i;
       pulled.push_back(std::move(*answer));
     }
@@ -171,7 +226,7 @@ TEST_P(AnswerStreamSweep, DrainAfterPullsReturnsRemainder) {
   if (reference_.answers.size() < 2) GTEST_SKIP();
   SearchContext context;
   AnswerStream stream = Open(&context);
-  auto first = stream.Next();
+  auto first = Pull(stream);
   ASSERT_TRUE(first.has_value());
   EXPECT_TRUE(SameAnswer(*first, reference_.answers[0]));
   SearchResult rest = stream.Drain();
@@ -199,7 +254,7 @@ TEST_P(AnswerStreamSweep, AbandonedStreamLeavesContextReusable) {
   SearchContext context;
   {
     AnswerStream stream = Open(&context);
-    (void)stream.Next();  // abandon after one pull
+    (void)Pull(stream);  // abandon after one pull
   }
   SearchResult warm = searcher_->Search(origins_, &context);
   ASSERT_EQ(warm.answers.size(), reference_.answers.size());
@@ -212,7 +267,7 @@ TEST_P(AnswerStreamSweep, AbandonedStreamLeavesContextReusable) {
 TEST_P(AnswerStreamSweep, CancelMidStreamLeavesContextReusable) {
   SearchContext context;
   AnswerStream stream = Open(&context);
-  (void)stream.Next();
+  (void)Pull(stream);
   stream.Cancel();
   EXPECT_TRUE(stream.done());
   EXPECT_FALSE(stream.Next().has_value());

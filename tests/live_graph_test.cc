@@ -2,11 +2,12 @@
 // sequence of append-only UpdateBatches applied through
 // Engine::ApplyUpdate must leave every epoch snapshot *byte-identical*
 // under search to a fresh-built engine of the same logical state —
-// ARCHITECTURE.md contract 5 — at every algorithm × bound mode × shard
-// count, over a resident base and over a paged one. Plus: snapshot
-// isolation for streams and subscriptions racing with updates, answer-
-// cache correctness across epochs, and the paged-file fault-injection
-// path (truncated file → kIoError, not silence).
+// ARCHITECTURE.md contract 4 — at every algorithm × bound mode, over a
+// resident base and over a paged one. Plus: snapshot isolation for
+// streams and subscriptions racing with updates, answer-cache
+// correctness across epochs, the paged-file fault-injection path
+// (truncated file → kIoError, not silence), and malformed batches
+// rejected before anything publishes.
 //
 // This whole file runs under TSan in CI (the *LiveGraph* filter): the
 // concurrent tests are the data-race proof for the publish/pin
@@ -19,9 +20,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,7 +55,6 @@ void ExpectSameDeterministicMetrics(const SearchMetrics& a,
   EXPECT_EQ(a.propagation_steps, b.propagation_steps);
   EXPECT_EQ(a.answers_generated, b.answers_generated);
   EXPECT_EQ(a.answers_output, b.answers_output);
-  EXPECT_EQ(a.bsp_rounds, b.bsp_rounds);
   EXPECT_EQ(a.budget_exhausted, b.budget_exhausted);
 }
 
@@ -107,7 +109,7 @@ struct Mirror {
     }
   }
 
-  /// Fresh build of the mirror's whole state: the contract-5 oracle.
+  /// Fresh build of the mirror's whole state: the contract-4 oracle.
   DataGraph BuildData() const {
     GraphBuilder b;
     for (const std::string& name : type_names) b.InternType(name);
@@ -216,8 +218,8 @@ const std::vector<std::vector<std::string>>& Queries() {
   return *queries;
 }
 
-/// Full contract-5 grid of one live engine against its mirror's fresh
-/// build: 3 algorithms × 3 bound modes × shards {1, 4}.
+/// Full contract-4 grid of one live engine against its mirror's fresh
+/// build: 3 algorithms × 3 bound modes.
 void ExpectMatchesFreshBuild(const Engine& live, const Mirror& mirror,
                              const EngineOptions& engine_options) {
   Engine reference = mirror.BuildEngine(engine_options);
@@ -225,16 +227,13 @@ void ExpectMatchesFreshBuild(const Engine& live, const Mirror& mirror,
                               Algorithm::kBidirectional}) {
     for (BoundMode bound :
          {BoundMode::kTight, BoundMode::kLoose, BoundMode::kImmediate}) {
-      for (uint32_t shards : {1u, 4u}) {
-        SearchOptions options;
-        options.k = 6;
-        options.bound = bound;
-        options.shard_count = shards;
-        for (const auto& keywords : Queries()) {
-          SearchResult expect = reference.Query(keywords, algorithm, options);
-          SearchResult got = live.Query(keywords, algorithm, options);
-          ExpectSameResult(expect, got);
-        }
+      SearchOptions options;
+      options.k = 6;
+      options.bound = bound;
+      for (const auto& keywords : Queries()) {
+        SearchResult expect = reference.Query(keywords, algorithm, options);
+        SearchResult got = live.Query(keywords, algorithm, options);
+        ExpectSameResult(expect, got);
       }
     }
   }
@@ -304,6 +303,87 @@ TEST(LiveGraph, EmptyAndPostingOnlyBatchesKeepStructureEpoch) {
   EXPECT_EQ(live.structure_epoch(), 1u);
   mirror.Apply(structural);
   ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshBuild(live, mirror, {}));
+}
+
+// ---------------------------------------------------------------------
+// Malformed batches: rejected whole, nothing published
+// ---------------------------------------------------------------------
+
+/// Applies `bad` to a live engine that already holds one good epoch and
+/// expects std::invalid_argument with the engine untouched: same epoch,
+/// same structure epoch, and still answering exactly like a fresh build
+/// of the good state.
+void ExpectRejected(const UpdateBatch& bad) {
+  std::mt19937_64 rng(5);
+  Mirror mirror = SeedMirror(rng, 20, 40);
+  Engine live = mirror.BuildEngine();
+  UpdateBatch good = RandBatch(rng, mirror.nodes.size());
+  ASSERT_EQ(live.ApplyUpdate(good), 1u);
+  mirror.Apply(good);
+  const uint64_t structure_epoch = live.structure_epoch();
+
+  EXPECT_THROW(live.ApplyUpdate(bad), std::invalid_argument);
+  EXPECT_EQ(live.epoch(), 1u);
+  EXPECT_EQ(live.structure_epoch(), structure_epoch);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshBuild(live, mirror, {}));
+}
+
+/// A batch with one new node (id = the seed's node count) and one edge
+/// from node 0 to it — valid until a test breaks one field.
+UpdateBatch OneNodeOneEdge(NodeId num_nodes_after_seed_batch) {
+  UpdateBatch batch;
+  batch.nodes.push_back({"paper", "p-new", "omicron"});
+  batch.edges.push_back({0, num_nodes_after_seed_batch, 1.0});
+  return batch;
+}
+
+NodeId NodesAfterGoodBatch() {
+  std::mt19937_64 rng(5);
+  Mirror mirror = SeedMirror(rng, 20, 40);
+  mirror.Apply(RandBatch(rng, mirror.nodes.size()));
+  return static_cast<NodeId>(mirror.nodes.size());
+}
+
+TEST(LiveGraph, RejectsEdgeEndpointBeyondNodeCount) {
+  const NodeId n = NodesAfterGoodBatch();
+  UpdateBatch bad = OneNodeOneEdge(n);
+  bad.edges.push_back({n + 1, 0, 1.0});  // only n is new in this batch
+  ExpectRejected(bad);
+  UpdateBatch bad_target = OneNodeOneEdge(n);
+  bad_target.edges.push_back({0, 4'000'000'000u, 1.0});
+  ExpectRejected(bad_target);
+}
+
+TEST(LiveGraph, RejectsNonPositiveEdgeWeight) {
+  const NodeId n = NodesAfterGoodBatch();
+  UpdateBatch zero = OneNodeOneEdge(n);
+  zero.edges.back().weight = 0.0;
+  ExpectRejected(zero);
+  UpdateBatch negative = OneNodeOneEdge(n);
+  negative.edges.back().weight = -2.0;
+  ExpectRejected(negative);
+  UpdateBatch underflow = OneNodeOneEdge(n);
+  underflow.edges.back().weight = 1e-60;  // rounds to 0 as a float
+  ExpectRejected(underflow);
+}
+
+TEST(LiveGraph, RejectsNonFiniteEdgeWeight) {
+  const NodeId n = NodesAfterGoodBatch();
+  for (double w : {std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN(),
+                   1e300 /* overflows to inf as a float */}) {
+    UpdateBatch bad = OneNodeOneEdge(n);
+    bad.edges.back().weight = w;
+    ExpectRejected(bad);
+  }
+}
+
+TEST(LiveGraph, RejectsTextNodeBeyondNodeCount) {
+  const NodeId n = NodesAfterGoodBatch();
+  UpdateBatch bad = OneNodeOneEdge(n);
+  bad.texts.push_back({n, "sigma"});      // the batch's own new node: ok
+  bad.texts.push_back({n + 1, "sigma"});  // beyond the new node count
+  ExpectRejected(bad);
 }
 
 TEST(LiveGraph, RelationMatchesSurviveUpdates) {

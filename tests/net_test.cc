@@ -3,8 +3,9 @@
 //
 // The load-bearing property mirrors the serving core's: answers that
 // cross the wire must be byte-identical (SameAnswer) to the in-process
-// Query, for every algorithm and shard count — the socket layer decides
-// only when bytes move, never what the search computes. Around it: the
+// Query, for every algorithm and any number of concurrent clients — the
+// socket layer decides only when bytes move, never what the search
+// computes. Around it: the
 // writability→credit mapping (a slow reader's task parks in credit-wait
 // holding zero pool leases while the server buffers a bounded number of
 // frames), mid-stream disconnects cancelling the connection's tasks,
@@ -37,6 +38,7 @@
 #include "net/client.h"
 #include "net/wire.h"
 #include "serve/scheduler.h"
+#include "test_util.h"
 #include "util/timer.h"
 
 namespace banks::net {
@@ -59,6 +61,18 @@ void ExpectSameAnswers(const std::vector<AnswerTree>& got,
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(SameAnswer(got[i], want[i])) << "answer " << i << " differs";
   }
+}
+
+/// Non-asserting form of the two checks above, for background threads.
+bool SameResult(const std::vector<AnswerTree>& answers,
+                const SearchMetrics& metrics, const SearchResult& want) {
+  if (answers.size() != want.answers.size()) return false;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    if (!SameAnswer(answers[i], want.answers[i])) return false;
+  }
+  return metrics.nodes_explored == want.metrics.nodes_explored &&
+         metrics.edges_relaxed == want.metrics.edges_relaxed &&
+         metrics.answers_output == want.metrics.answers_output;
 }
 
 /// Shared DBLP engine — big enough that broad type-name queries ("paper
@@ -105,7 +119,7 @@ TEST(NetWire, SearchRequestRoundTrip) {
   req.options.lambda = 0.3;
   req.options.combine = ActivationCombine::kSum;
   req.options.bound = BoundMode::kTight;
-  req.options.shard_count = 4;
+  req.options.release_patience = 77;
   req.deadline_seconds = 2.5;
   req.initial_credits = 3;
   req.keywords = {"gray", "transaction", "db"};
@@ -122,7 +136,7 @@ TEST(NetWire, SearchRequestRoundTrip) {
   EXPECT_DOUBLE_EQ(got.options.lambda, req.options.lambda);
   EXPECT_EQ(got.options.combine, req.options.combine);
   EXPECT_EQ(got.options.bound, req.options.bound);
-  EXPECT_EQ(got.options.shard_count, req.options.shard_count);
+  EXPECT_EQ(got.options.release_patience, req.options.release_patience);
   EXPECT_DOUBLE_EQ(got.deadline_seconds, req.deadline_seconds);
   EXPECT_EQ(got.initial_credits, req.initial_credits);
   EXPECT_EQ(got.keywords, req.keywords);
@@ -214,10 +228,14 @@ TEST(NetServer, HelloHandshakeAndPing) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
-// ---- Loopback differential: wire ≡ in-process, per algorithm × shards ----
+// ---- Loopback differential: wire ≡ in-process, per algorithm × copies ---
 
 struct NetCase {
   Algorithm algorithm;
+  /// Clients running the same query against the server at once: the
+  /// test body's plus `shards - 1` on other threads, each of which must
+  /// get the in-process answers. (`ShardsN` is the historical instance
+  /// suffix, from when N was the intra-query shard count.)
   uint32_t shards;
 };
 
@@ -233,12 +251,18 @@ TEST_P(NetDifferentialTest, WireQueryMatchesInProcess) {
   const NetCase& c = GetParam();
   const Engine& engine = SharedEngine();
   SearchOptions options = BaseOptions();
-  options.shard_count = c.shards;
   SearchResult reference = engine.Query(Keywords(), c.algorithm, options);
   ASSERT_FALSE(reference.answers.empty());
 
   Server server(&engine);
   ASSERT_TRUE(server.Start());
+  testing::BackgroundCopies copies(c.shards - 1, [&] {
+    auto other = Client::Connect("127.0.0.1", server.port(), {}, nullptr);
+    if (other == nullptr) return false;
+    NetResult r = other->Query(Keywords(), c.algorithm, options);
+    return r.status == SubscribeStatus::kCompleted &&
+           SameResult(r.answers, r.metrics, reference);
+  });
   std::string error;
   auto client = Client::Connect("127.0.0.1", server.port(), {}, &error);
   ASSERT_NE(client, nullptr) << error;
@@ -247,18 +271,27 @@ TEST_P(NetDifferentialTest, WireQueryMatchesInProcess) {
   EXPECT_EQ(result.status, SubscribeStatus::kCompleted);
   ExpectSameAnswers(result.answers, reference.answers);
   ExpectSameDeterministicMetrics(result.metrics, reference.metrics);
+  EXPECT_EQ(copies.Join(), 0u) << "a concurrent client diverged";
 }
 
 TEST_P(NetDifferentialTest, PullStreamMatchesInProcess) {
   const NetCase& c = GetParam();
   const Engine& engine = SharedEngine();
   SearchOptions options = BaseOptions();
-  options.shard_count = c.shards;
   SearchResult reference = engine.Query(Keywords(), c.algorithm, options);
   ASSERT_FALSE(reference.answers.empty());
 
   Server server(&engine);
   ASSERT_TRUE(server.Start());
+  testing::BackgroundCopies copies(c.shards - 1, [&] {
+    auto other = Client::Connect("127.0.0.1", server.port(), {}, nullptr);
+    if (other == nullptr) return false;
+    ClientStream stream = other->OpenStream(Keywords(), c.algorithm, options);
+    std::vector<AnswerTree> answers;
+    while (auto answer = stream.Next()) answers.push_back(std::move(*answer));
+    return stream.status() == SubscribeStatus::kCompleted &&
+           SameResult(answers, stream.metrics(), reference);
+  });
   std::string error;
   auto client = Client::Connect("127.0.0.1", server.port(), {}, &error);
   ASSERT_NE(client, nullptr) << error;
@@ -271,6 +304,7 @@ TEST_P(NetDifferentialTest, PullStreamMatchesInProcess) {
   EXPECT_EQ(stream.status(), SubscribeStatus::kCompleted);
   ExpectSameAnswers(answers, reference.answers);
   ExpectSameDeterministicMetrics(stream.metrics(), reference.metrics);
+  EXPECT_EQ(copies.Join(), 0u) << "a concurrent client diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(

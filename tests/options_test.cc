@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "search/context_pool.h"
 #include "search/output_heap.h"
 #include "test_util.h"
 
@@ -86,19 +85,6 @@ TEST(OptionsFingerprint, EveryResultAffectingFieldChangesIt) {
   differs([](SearchOptions& o) { o.release_patience = 513; });
 }
 
-TEST(OptionsFingerprint, ShardingIsResultNeutralAndExcluded) {
-  // Sharding provably never changes answers (the sharded differential
-  // suite), so the fingerprint must not see it — one cache entry serves
-  // a query at any parallelism.
-  SearchOptions a;
-  SearchOptions b;
-  b.shard_count = 8;
-  SearchContextPool pool;
-  b.shard_pool = &pool;
-  EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(b));
-  EXPECT_TRUE(SameResultOptions(a, b));
-}
-
 // ------------------------------------------------------ Option behaviour --
 
 class OptionsSweep : public ::testing::TestWithParam<Algorithm> {};
@@ -122,6 +108,28 @@ TEST_P(OptionsSweep, PatienceZeroStillTerminates) {
   options.k = 5;
   SearchResult r = RunSearch(GetParam(), g, {{0, 1}, {2, 3}}, options);
   EXPECT_EQ(r.metrics.answers_output, r.answers.size());
+}
+
+// bound_check_interval travels over the wire unvalidated; 0 must mean
+// "check after every expansion" (same as 1), not a division by zero.
+TEST_P(OptionsSweep, ZeroBoundCheckIntervalActsAsOne) {
+  Graph g = MakeRandomGraph(150, 600, 3);
+  for (BoundMode bound :
+       {BoundMode::kTight, BoundMode::kLoose, BoundMode::kImmediate}) {
+    SearchOptions zero;
+    zero.k = 5;
+    zero.bound = bound;
+    zero.bound_check_interval = 0;
+    SearchOptions one = zero;
+    one.bound_check_interval = 1;
+    SearchResult a = RunSearch(GetParam(), g, {{0, 1}, {2, 3}}, zero);
+    SearchResult b = RunSearch(GetParam(), g, {{0, 1}, {2, 3}}, one);
+    ASSERT_EQ(a.answers.size(), b.answers.size());
+    for (size_t i = 0; i < a.answers.size(); ++i) {
+      EXPECT_TRUE(SameAnswer(a.answers[i], b.answers[i])) << "answer " << i;
+    }
+    EXPECT_EQ(a.metrics.nodes_explored, b.metrics.nodes_explored);
+  }
 }
 
 TEST_P(OptionsSweep, LooseAndTightAgreeOnBestAnswer) {

@@ -1,11 +1,15 @@
 // Pooled-reuse contract of the OutputHeap and the Backward-MI frontier
 // pool: a warm (recycled) buffer must behave byte-identically to a
-// fresh one, and the warm path must not grow the pools.
+// fresh one, and the warm path must not grow the pools. Plus the heap's
+// duplicate merging and release order, checked against a naive model.
 
 #include "search/output_heap.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "search/search_context.h"
@@ -205,47 +209,109 @@ TEST(FrontierPool, MixedQuerySizesOnOneContextStayCorrect) {
   }
 }
 
-// ---- Merged release over shard-local heaps --------------------------------
-// Property: inserting a set of trees into N heaps routed by signature
-// shard (sig mod N) and releasing through the Merged* functions is
-// indistinguishable — released sequences, pending counts, best pending
-// scores — from inserting the union into one heap and using its member
-// releases. This is the invariant the sharded searchers' release checks
-// stand on.
+// ---- Duplicate merging and release order vs a naive model ---------------
+// Property: every insert verdict, release sequence, pending count and
+// best pending score of the pooled OutputHeap equals that of a plain
+// map-based model of its contract — one record per rotation signature
+// keeping the best-scored copy, releases final, release order score
+// descending then signature ascending, each release stopping once the
+// output holds `limit` answers.
 
-/// Applies one release op to both the reference heap and the shard set.
-struct MergedFixture {
-  OutputHeap reference;
-  std::vector<OutputHeap> shards;
-  std::vector<AnswerTree> ref_out;
-  std::vector<AnswerTree> merged_out;
+struct HeapModel {
+  struct Entry {
+    AnswerTree tree;
+    bool released = false;
+  };
+  std::map<uint64_t, Entry> entries;
 
-  explicit MergedFixture(size_t n) : shards(n) {}
+  bool Insert(const AnswerTree& t) {
+    auto [it, fresh] = entries.try_emplace(t.Signature(), Entry{t});
+    if (fresh) return true;
+    Entry& e = it->second;
+    if (e.released || e.tree.score >= t.score) return false;
+    e.tree = t;
+    return true;
+  }
+
+  template <typename Pred>
+  void Release(Pred releasable, size_t limit, std::vector<AnswerTree>* out) {
+    std::vector<std::pair<double, uint64_t>> picks;
+    for (const auto& [sig, e] : entries) {
+      if (!e.released && releasable(e.tree)) picks.emplace_back(e.tree.score, sig);
+    }
+    std::sort(picks.begin(), picks.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    });
+    for (const auto& [score, sig] : picks) {
+      if (out->size() >= limit) break;
+      entries[sig].released = true;
+      out->push_back(entries[sig].tree);
+    }
+  }
+
+  size_t pending() const {
+    size_t n = 0;
+    for (const auto& [sig, e] : entries) n += e.released ? 0 : 1;
+    return n;
+  }
+
+  double best() const {
+    double best = -1;
+    for (const auto& [sig, e] : entries) {
+      if (!e.released) best = std::max(best, e.tree.score);
+    }
+    return best;
+  }
+};
+
+/// Applies every operation to both the heap and the model.
+struct ModelFixture {
+  OutputHeap heap;
+  HeapModel model;
+  std::vector<AnswerTree> heap_out;
+  std::vector<AnswerTree> model_out;
 
   void Insert(const AnswerTree& t) {
-    uint64_t sig = t.Signature();
-    bool a = reference.InsertCopy(t, sig);
-    bool b = shards[sig % shards.size()].InsertCopy(t, sig);
+    bool a = heap.InsertCopy(t);
+    bool b = model.Insert(t);
     EXPECT_EQ(a, b);
+  }
+  void ReleaseWithScoreBound(double bound, size_t limit) {
+    heap.ReleaseWithScoreBound(bound, limit, &heap_out);
+    model.Release([&](const AnswerTree& t) { return t.score >= bound; },
+                  limit, &model_out);
+  }
+  void ReleaseWithEdgeBound(double max_eraw, size_t limit) {
+    heap.ReleaseWithEdgeBound(max_eraw, limit, &heap_out);
+    model.Release(
+        [&](const AnswerTree& t) { return t.edge_score_raw <= max_eraw; },
+        limit, &model_out);
+  }
+  void ReleaseBest(size_t count, size_t limit) {
+    heap.ReleaseBest(count, limit, &heap_out);
+    model.Release([](const AnswerTree&) { return true; },
+                  std::min(limit, model_out.size() + count), &model_out);
+  }
+  void Drain(size_t limit) {
+    heap.Drain(limit, &heap_out);
+    model.Release([](const AnswerTree&) { return true; }, limit, &model_out);
   }
 
   void ExpectAggregatesMatch() {
-    EXPECT_EQ(MergedPendingCount(shards.data(), shards.size()),
-              reference.pending_count());
-    EXPECT_EQ(MergedBestPendingScore(shards.data(), shards.size()),
-              reference.BestPendingScore());
+    EXPECT_EQ(heap.pending_count(), model.pending());
+    EXPECT_EQ(heap.BestPendingScore(), model.best());
   }
-
   void ExpectOutputsMatch() {
-    ASSERT_EQ(ref_out.size(), merged_out.size());
-    for (size_t i = 0; i < ref_out.size(); ++i) {
-      EXPECT_TRUE(SameAnswer(ref_out[i], merged_out[i])) << i;
+    ASSERT_EQ(heap_out.size(), model_out.size());
+    for (size_t i = 0; i < heap_out.size(); ++i) {
+      EXPECT_TRUE(SameAnswer(heap_out[i], model_out[i])) << i;
     }
   }
 };
 
 TEST(OutputHeapMerge, ScriptedReleasesMatchSingleHeap) {
-  MergedFixture f(3);
+  ModelFixture f;
   for (NodeId r = 0; r < 20; ++r) {
     f.Insert(ScoredTree(r, 0.03 * (r % 9) + 0.05, 18.0 - r));
   }
@@ -254,76 +320,59 @@ TEST(OutputHeapMerge, ScriptedReleasesMatchSingleHeap) {
   f.Insert(ScoredTree(4, 0.93, 2));
   f.ExpectAggregatesMatch();
 
-  f.reference.ReleaseWithScoreBound(0.2, 7, &f.ref_out);
-  MergedReleaseWithScoreBound(f.shards.data(), f.shards.size(), 0.2, 7,
-                              &f.merged_out);
+  f.ReleaseWithScoreBound(0.2, 7);
   f.ExpectAggregatesMatch();
   f.ExpectOutputsMatch();
 
-  f.reference.ReleaseWithEdgeBound(9.0, 12, &f.ref_out);
-  MergedReleaseWithEdgeBound(f.shards.data(), f.shards.size(), 9.0, 12,
-                             &f.merged_out);
+  f.ReleaseWithEdgeBound(9.0, 12);
   f.ExpectAggregatesMatch();
   f.ExpectOutputsMatch();
 
-  f.reference.ReleaseBest(3, 100, &f.ref_out);
-  MergedReleaseBest(f.shards.data(), f.shards.size(), 3, 100, &f.merged_out);
+  f.ReleaseBest(3, 100);
   f.ExpectAggregatesMatch();
   f.ExpectOutputsMatch();
 
   // Late duplicate of a released signature: dropped on both sides.
   f.Insert(ScoredTree(0, 0.99, 1));
 
-  f.reference.Drain(100, &f.ref_out);
-  MergedDrain(f.shards.data(), f.shards.size(), 100, &f.merged_out);
+  f.Drain(100);
   f.ExpectAggregatesMatch();
   f.ExpectOutputsMatch();
 }
 
 TEST(OutputHeapMerge, FuzzedSequencesMatchSingleHeap) {
   Rng rng(0xBA27C5);
-  for (size_t n : {2u, 3u, 5u, 8u}) {
+  // Smaller root spaces mean denser duplicate signatures.
+  for (size_t root_space : {4u, 8u, 24u, 64u}) {
     for (int round = 0; round < 12; ++round) {
-      MergedFixture f(n);
+      ModelFixture f;
       size_t ops = 30 + rng.Below(40);
       for (size_t op = 0; op < ops; ++op) {
         switch (rng.Below(6)) {
           case 0:
           case 1:
-          case 2: {  // insert, small root space to force duplicates
-            NodeId root = static_cast<NodeId>(rng.Below(24));
+          case 2: {
+            NodeId root = static_cast<NodeId>(rng.Below(root_space));
             double score = 0.01 * (1 + rng.Below(99));
             double eraw = 0.5 * (1 + rng.Below(30));
             f.Insert(ScoredTree(root, score, eraw));
             break;
           }
-          case 3: {
-            double bound = 0.01 * rng.Below(110);
-            size_t limit = f.ref_out.size() + rng.Below(6);
-            f.reference.ReleaseWithScoreBound(bound, limit, &f.ref_out);
-            MergedReleaseWithScoreBound(f.shards.data(), n, bound, limit,
-                                        &f.merged_out);
+          case 3:
+            f.ReleaseWithScoreBound(0.01 * rng.Below(110),
+                                    f.heap_out.size() + rng.Below(6));
             break;
-          }
-          case 4: {
-            double max_eraw = 0.5 * rng.Below(35);
-            size_t limit = f.ref_out.size() + rng.Below(6);
-            f.reference.ReleaseWithEdgeBound(max_eraw, limit, &f.ref_out);
-            MergedReleaseWithEdgeBound(f.shards.data(), n, max_eraw, limit,
-                                       &f.merged_out);
+          case 4:
+            f.ReleaseWithEdgeBound(0.5 * rng.Below(35),
+                                   f.heap_out.size() + rng.Below(6));
             break;
-          }
-          case 5: {
-            size_t count = 1 + rng.Below(4);
-            f.reference.ReleaseBest(count, 1000, &f.ref_out);
-            MergedReleaseBest(f.shards.data(), n, count, 1000, &f.merged_out);
+          case 5:
+            f.ReleaseBest(1 + rng.Below(4), 1000);
             break;
-          }
         }
         f.ExpectAggregatesMatch();
       }
-      f.reference.Drain(1000, &f.ref_out);
-      MergedDrain(f.shards.data(), n, 1000, &f.merged_out);
+      f.Drain(1000);
       f.ExpectAggregatesMatch();
       f.ExpectOutputsMatch();
     }
@@ -331,59 +380,22 @@ TEST(OutputHeapMerge, FuzzedSequencesMatchSingleHeap) {
 }
 
 TEST(OutputHeapMerge, LimitedReleaseStillDiscardsDuplicateOfTakenSig) {
-  // The winner of a duplicated signature is taken against a tight
-  // limit; the loser must be tombstoned in the same merge, not survive
-  // as pending to be emitted by a later release.
-  std::vector<OutputHeap> shards(2);
-  ASSERT_TRUE(shards[0].Insert(ScoredTree(7, 0.4, 5)));
-  ASSERT_TRUE(shards[1].Insert(ScoredTree(7, 0.9, 3)));
+  // Two rotations of one signature merge into the better copy; taking
+  // it against a tight limit makes the signature final — neither the
+  // merged-away copy nor a later, better rotation may surface again.
+  OutputHeap heap;
+  ASSERT_TRUE(heap.Insert(ScoredTree(7, 0.4, 5)));
+  ASSERT_TRUE(heap.Insert(ScoredTree(7, 0.9, 3)));
+  EXPECT_EQ(heap.pending_count(), 1u);
   std::vector<AnswerTree> out;
-  MergedDrain(shards.data(), 2, /*limit=*/1, &out);
+  heap.Drain(/*limit=*/1, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].score, 0.9);
-  EXPECT_EQ(MergedPendingCount(shards.data(), 2), 0u);
+  EXPECT_EQ(heap.pending_count(), 0u);
+  EXPECT_FALSE(heap.Insert(ScoredTree(7, 0.95, 2)));
   std::vector<AnswerTree> later;
-  MergedDrain(shards.data(), 2, 100, &later);
+  heap.Drain(100, &later);
   EXPECT_TRUE(later.empty()) << "duplicate signature emitted twice";
-}
-
-TEST(OutputHeapMerge, CrossHeapDuplicateKeepsBestScore) {
-  // Two heaps that (against the searchers' routing invariant) both hold
-  // the same signature: the merged drain emits only the higher-scored
-  // copy, exactly as a single heap would have kept only it at insert.
-  std::vector<OutputHeap> shards(2);
-  ASSERT_TRUE(shards[0].Insert(ScoredTree(7, 0.4, 5)));
-  ASSERT_TRUE(shards[1].Insert(ScoredTree(7, 0.9, 3)));
-  ASSERT_TRUE(shards[0].Insert(ScoredTree(8, 0.2, 6)));
-  std::vector<AnswerTree> out;
-  MergedDrain(shards.data(), 2, 100, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].score, 0.9);  // best copy of sig(7)
-  EXPECT_EQ(out[1].score, 0.2);
-  // The losing copy was tombstoned, not left pending.
-  EXPECT_EQ(MergedPendingCount(shards.data(), 2), 0u);
-}
-
-TEST(OutputHeapMerge, SingleShardIsTheMemberPath) {
-  // count == 1 must behave exactly like the member calls (it is the
-  // member calls — they share one implementation).
-  OutputHeap a;
-  std::vector<OutputHeap> b(1);
-  for (NodeId r = 0; r < 10; ++r) {
-    AnswerTree t = ScoredTree(r, 0.1 * (r % 4), 10.0 - r);
-    a.InsertCopy(t);
-    b[0].InsertCopy(t);
-  }
-  std::vector<AnswerTree> out_a;
-  std::vector<AnswerTree> out_b;
-  a.ReleaseWithEdgeBound(7.0, 5, &out_a);
-  MergedReleaseWithEdgeBound(b.data(), 1, 7.0, 5, &out_b);
-  a.Drain(100, &out_a);
-  MergedDrain(b.data(), 1, 100, &out_b);
-  ASSERT_EQ(out_a.size(), out_b.size());
-  for (size_t i = 0; i < out_a.size(); ++i) {
-    EXPECT_TRUE(SameAnswer(out_a[i], out_b[i])) << i;
-  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Differential tests for the out-of-core storage layer: a paged engine
 // (adjacency + postings behind PagedStore/BufferPool) must return
 // byte-identical answers and deterministic metrics to the in-RAM engine
-// at every algorithm × bound mode × shard count × pool size — including
-// pools pathologically smaller than the working set.
+// at every algorithm × bound mode × concurrent copies × pool size —
+// including pools pathologically smaller than the working set, down to
+// one page under the serving path's page-wait protocol.
 
 #include "storage/paged_store.h"
 
@@ -18,6 +19,8 @@
 #include "banks/engine.h"
 #include "datasets/dblp_gen.h"
 #include "search/answer.h"
+#include "serve/queue_sink.h"
+#include "serve/scheduler.h"
 #include "test_util.h"
 #include "text/inverted_index.h"
 
@@ -41,7 +44,6 @@ void ExpectSameDeterministicMetrics(const SearchMetrics& a,
   EXPECT_EQ(a.propagation_steps, b.propagation_steps);
   EXPECT_EQ(a.answers_generated, b.answers_generated);
   EXPECT_EQ(a.answers_output, b.answers_output);
-  EXPECT_EQ(a.bsp_rounds, b.bsp_rounds);
   EXPECT_EQ(a.budget_exhausted, b.budget_exhausted);
 }
 
@@ -217,11 +219,20 @@ TEST(PagedStore, OversizedRunsGetDedicatedPages) {
 // Differential grid: paged ≡ in-RAM
 // ---------------------------------------------------------------------
 
-enum class PoolSize { kPathological, kQuarter, kAmple };
+// kServedOnePage runs the paged side as concurrent scheduler
+// subscriptions with the page-wait protocol on, one expansion per
+// quantum, over a one-page pool: nearly every pop probes a missing page
+// and parks on kPageWait, and the subscriptions keep evicting each
+// other's fetched page, so retries run into the thrash escape.
+enum class PoolSize { kPathological, kQuarter, kAmple, kServedOnePage };
 
 struct DiffCase {
   Algorithm algorithm;
   BoundMode bound;
+  /// Copies of every query run at once against the one paged engine,
+  /// sharing its buffer pool; each must match in-RAM. (`ShardsN` is the
+  /// historical instance suffix, from when N was the intra-query shard
+  /// count.)
   size_t shards;
   PoolSize pool;
 };
@@ -234,6 +245,8 @@ std::string PoolName(PoolSize p) {
       return "QuarterPool";
     case PoolSize::kAmple:
       return "AmplePool";
+    case PoolSize::kServedOnePage:
+      return "ServedOnePagePool";
   }
   return "?";
 }
@@ -270,6 +283,8 @@ size_t PoolBytes(PoolSize p, size_t data_bytes) {
       return data_bytes / 4;
     case PoolSize::kAmple:
       return data_bytes * 2;
+    case PoolSize::kServedOnePage:
+      return 4u << 10;  // one 4K page
   }
   return 0;
 }
@@ -294,11 +309,42 @@ TEST_P(PagedDifferentialTest, PagedMatchesInRam) {
   SearchOptions options;
   options.k = 8;
   options.bound = c.bound;
-  options.shard_count = c.shards;
+  if (c.pool == PoolSize::kServedOnePage) {
+    SchedulerOptions sched_options;
+    sched_options.num_workers = 2;
+    sched_options.quantum_steps = 1;
+    Scheduler scheduler(sched_options);
+    SubscribeOptions subscribe;
+    subscribe.scheduler = &scheduler;
+    const auto& queries = Env().queries;
+    const size_t subscriptions = queries.size() * c.shards;
+    std::vector<QueueSink> sinks(subscriptions);
+    std::vector<Subscription> subs;
+    for (size_t i = 0; i < subscriptions; ++i) {
+      subs.push_back(paged.Subscribe(queries[i % queries.size()], c.algorithm,
+                                     &sinks[i], options, subscribe));
+    }
+    for (size_t i = 0; i < subscriptions; ++i) {
+      ASSERT_EQ(subs[i].Wait(), SubscribeStatus::kCompleted);
+      SearchResult got;
+      AnswerTree answer;
+      while (sinks[i].TryPop(&answer)) got.answers.push_back(answer);
+      got.metrics = sinks[i].final_metrics();
+      ExpectSameResult(Env().ram.Query(queries[i % queries.size()],
+                                       c.algorithm, options),
+                       got);
+    }
+    EXPECT_GT(scheduler.Snapshot().page_waits, 0u)
+        << "one-page pool never parked a quantum";
+    return;
+  }
   for (const auto& keywords : Env().queries) {
     SearchResult expect = Env().ram.Query(keywords, c.algorithm, options);
-    SearchResult got = paged.Query(keywords, c.algorithm, options);
-    ExpectSameResult(expect, got);
+    std::vector<SearchResult> got(c.shards);
+    testing::RunConcurrently(c.shards, [&](size_t i) {
+      got[i] = paged.Query(keywords, c.algorithm, options);
+    });
+    for (const SearchResult& copy : got) ExpectSameResult(expect, copy);
   }
   if (c.pool == PoolSize::kPathological) {
     // The tiny pool must actually have paged: a zero-miss run would mean
@@ -315,9 +361,19 @@ std::vector<DiffCase> AllDiffCases() {
     for (BoundMode b :
          {BoundMode::kTight, BoundMode::kLoose, BoundMode::kImmediate}) {
       for (size_t shards : {size_t{1}, size_t{4}}) {
-        for (PoolSize p :
-             {PoolSize::kPathological, PoolSize::kQuarter, PoolSize::kAmple}) {
-          cases.push_back({a, b, shards, p});
+        for (PoolSize p : {PoolSize::kPathological, PoolSize::kQuarter,
+                           PoolSize::kAmple, PoolSize::kServedOnePage}) {
+          // The served case already runs every query as concurrent
+          // subscriptions; one copy of each keeps it affordable.
+          if (p == PoolSize::kServedOnePage && shards != 1) continue;
+          // Value-initialized, so the padding gtest prints in the test
+          // name is zero rather than stack garbage.
+          DiffCase c{};
+          c.algorithm = a;
+          c.bound = b;
+          c.shards = shards;
+          c.pool = p;
+          cases.push_back(c);
         }
       }
     }

@@ -2,8 +2,9 @@
 //
 // The load-bearing property is the differential one — a subscription's
 // pushed answer sequence must be byte-identical to the drained Query,
-// for every algorithm and shard count, because quanta only decide when
-// Resume returns, never what the search computes. Around it: weighted
+// for every algorithm, quantum size and number of concurrent copies,
+// because quanta only decide when Resume returns, never what the search
+// computes. Around it: weighted
 // fair queueing (stride, 2:1 within tolerance on a manually-driven
 // scheduler), admission control (queued tasks hold zero context
 // leases; overflow is rejected with a terminal push), scheduler-
@@ -103,17 +104,26 @@ SubscribeStatus DriveToFinish(Scheduler* scheduler, const Subscription& sub,
   return sub.status();
 }
 
-// ---- Differential: Subscribe ≡ Query, per algorithm × shard count ---------
+// ---- Differential: Subscribe ≡ Query, per algorithm × copies × quantum ---
 
 struct ServeCase {
   Algorithm algorithm;
-  uint32_t shards;
+  /// Copies of the subscription submitted at once, each with its own
+  /// sink, competing for the same workers. (`ShardsN` is the historical
+  /// instance suffix, from when N was the intra-query shard count.)
+  uint16_t shards;
+  /// SchedulerOptions::quantum_steps; deliberately tiny so the search is
+  /// chopped into many slices — 1 pauses after every expansion.
+  uint16_t quantum_steps;
 };
 
 std::string ServeCaseName(const ::testing::TestParamInfo<ServeCase>& info) {
-  std::string name = AlgorithmName(info.param.algorithm);
+  const ServeCase& c = info.param;
+  std::string name = AlgorithmName(c.algorithm);
   name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-  return name + "Shards" + std::to_string(info.param.shards);
+  name += "Shards" + std::to_string(c.shards);
+  if (c.quantum_steps != 3) name += "Quantum" + std::to_string(c.quantum_steps);
+  return name;
 }
 
 class SchedulerDifferentialTest : public ::testing::TestWithParam<ServeCase> {
@@ -122,40 +132,47 @@ class SchedulerDifferentialTest : public ::testing::TestWithParam<ServeCase> {
 TEST_P(SchedulerDifferentialTest, SubscribeMatchesDrainedQuery) {
   const ServeCase& c = GetParam();
   Workload w;
-  w.options.shard_count = c.shards;
   SearchResult reference = w.Reference(c.algorithm);
   ASSERT_FALSE(reference.answers.empty());
 
-  // Worker-backed scheduler with a deliberately tiny quantum so the
-  // search is chopped into many slices — the differential must hold for
-  // any pause pattern.
+  // Worker-backed scheduler whose quanta pause the search many times —
+  // the differential must hold for any pause pattern.
   SchedulerOptions so;
   so.num_workers = 2;
-  so.quantum_steps = 3;
+  so.quantum_steps = c.quantum_steps;
   Scheduler scheduler(so);
-  QueueSink sink;
-  Subscription sub = scheduler.Submit(w.Spec(&sink, c.algorithm));
-  EXPECT_EQ(sub.admission(), AdmissionState::kAdmitted);
-  EXPECT_EQ(sub.Wait(), SubscribeStatus::kCompleted);
-
-  std::vector<AnswerTree> got = DrainSink(&sink);
-  ASSERT_EQ(got.size(), reference.answers.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(SameAnswer(got[i], reference.answers[i]))
-        << "answer " << i << " differs";
+  std::vector<QueueSink> sinks(c.shards);
+  std::vector<Subscription> subs;
+  for (QueueSink& sink : sinks) {
+    subs.push_back(scheduler.Submit(w.Spec(&sink, c.algorithm)));
+    EXPECT_EQ(subs.back().admission(), AdmissionState::kAdmitted);
   }
-  ExpectSameDeterministicMetrics(sink.final_metrics(), reference.metrics);
-  EXPECT_EQ(sub.answers_delivered(), reference.answers.size());
+  for (size_t copy = 0; copy < subs.size(); ++copy) {
+    SCOPED_TRACE("copy " + std::to_string(copy));
+    EXPECT_EQ(subs[copy].Wait(), SubscribeStatus::kCompleted);
+    std::vector<AnswerTree> got = DrainSink(&sinks[copy]);
+    ASSERT_EQ(got.size(), reference.answers.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SameAnswer(got[i], reference.answers[i]))
+          << "answer " << i << " differs";
+    }
+    ExpectSameDeterministicMetrics(sinks[copy].final_metrics(),
+                                   reference.metrics);
+    EXPECT_EQ(subs[copy].answers_delivered(), reference.answers.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Serve, SchedulerDifferentialTest,
-    ::testing::Values(ServeCase{Algorithm::kBidirectional, 1},
-                      ServeCase{Algorithm::kBidirectional, 4},
-                      ServeCase{Algorithm::kBackwardSI, 1},
-                      ServeCase{Algorithm::kBackwardSI, 4},
-                      ServeCase{Algorithm::kBackwardMI, 1},
-                      ServeCase{Algorithm::kBackwardMI, 4}),
+    ::testing::Values(ServeCase{Algorithm::kBidirectional, 1, 3},
+                      ServeCase{Algorithm::kBidirectional, 4, 3},
+                      ServeCase{Algorithm::kBidirectional, 1, 1},
+                      ServeCase{Algorithm::kBackwardSI, 1, 3},
+                      ServeCase{Algorithm::kBackwardSI, 4, 3},
+                      ServeCase{Algorithm::kBackwardSI, 1, 1},
+                      ServeCase{Algorithm::kBackwardMI, 1, 3},
+                      ServeCase{Algorithm::kBackwardMI, 4, 3},
+                      ServeCase{Algorithm::kBackwardMI, 1, 1}),
     ServeCaseName);
 
 // ---- Fair queueing --------------------------------------------------------

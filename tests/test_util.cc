@@ -1,5 +1,7 @@
 #include "test_util.h"
 
+#include <utility>
+
 #include "prestige/pagerank.h"
 #include "util/rng.h"
 
@@ -109,6 +111,33 @@ bool ScoresNonIncreasing(const SearchResult& result) {
     }
   }
   return true;
+}
+
+BackgroundCopies::BackgroundCopies(size_t copies, std::function<bool()> run)
+    : run_(std::move(run)) {
+  threads_.reserve(copies);
+  for (size_t i = 0; i < copies; ++i) {
+    threads_.emplace_back([this] {
+      do {
+        if (!run_()) mismatches_.fetch_add(1);
+        calls_.fetch_add(1);
+      } while (!stop_.load());
+    });
+  }
+}
+
+size_t BackgroundCopies::Join() {
+  stop_.store(true);
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+  return mismatches_.load();
+}
+
+void RunConcurrently(size_t n, const std::function<void(size_t)>& fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) threads.emplace_back(fn, i);
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace banks::testing

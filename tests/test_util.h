@@ -1,6 +1,10 @@
 #ifndef BANKS_TESTS_TEST_UTIL_H_
 #define BANKS_TESTS_TEST_UTIL_H_
 
+#include <atomic>
+#include <cstddef>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.h"
@@ -57,6 +61,33 @@ std::string ValidateAnswers(const Graph& graph, const SearchResult& result);
 
 /// True if every answer's score is non-increasing in output order.
 bool ScoresNonIncreasing(const SearchResult& result);
+
+/// Copies of a query kept in flight alongside a test body: `copies`
+/// threads each call `run` at least once and keep calling it until
+/// Join(), so they overlap whatever the test does in between. `run`
+/// returns whether its result matched the expected one; Join() returns
+/// how many calls did not. Destruction joins.
+class BackgroundCopies {
+ public:
+  BackgroundCopies(size_t copies, std::function<bool()> run);
+  ~BackgroundCopies() { Join(); }
+  BackgroundCopies(const BackgroundCopies&) = delete;
+  BackgroundCopies& operator=(const BackgroundCopies&) = delete;
+
+  size_t Join();
+  /// Completed calls so far, across all threads.
+  size_t calls() const { return calls_.load(); }
+
+ private:
+  std::function<bool()> run_;
+  std::atomic<bool> stop_{false};
+  std::atomic<size_t> calls_{0};
+  std::atomic<size_t> mismatches_{0};
+  std::vector<std::thread> threads_;
+};
+
+/// Calls fn(0) … fn(n - 1) at once, one thread each, and waits for all.
+void RunConcurrently(size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace banks::testing
 
