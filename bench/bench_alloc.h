@@ -13,7 +13,7 @@ namespace banks::bench {
 ///
 /// Counting is a pair of relaxed atomic increments per allocation:
 /// cheap enough to leave on for timing runs, and thread-safe so
-/// micro_batch's worker threads are all counted.
+/// allocations on any thread (micro_update's writer, say) are counted.
 struct AllocCounts {
   uint64_t count = 0;
   uint64_t bytes = 0;

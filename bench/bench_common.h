@@ -104,7 +104,7 @@ double SafeRatio(double a, double b);
 ///
 ///   JsonWriter w;
 ///   w.BeginObject();
-///   w.Field("bench", "micro_batch"); w.Field("qps", 123.4);
+///   w.Field("bench", "micro_context"); w.Field("qps", 123.4);
 ///   w.Key("rows"); w.BeginArray();
 ///   ... w.BeginObject(); w.Field(...); w.EndObject(); ...
 ///   w.EndArray(); w.EndObject();

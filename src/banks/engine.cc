@@ -1,17 +1,17 @@
 #include "banks/engine.h"
 
-#include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
-#include <exception>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/graph_delta.h"
@@ -199,12 +199,141 @@ void AccumulateMetrics(const SearchMetrics& m, SearchMetrics* total) {
   total->budget_exhausted |= m.budget_exhausted;
 }
 
+/// One QueryBatch's execution, shared by the calling thread and the
+/// sinks of its scheduler tasks. Each task's terminal OnComplete submits
+/// the next pending query from the worker it ran on, so that worker
+/// finds the next query runnable at once instead of waiting for the
+/// calling thread. The calling thread fills the first window and then
+/// waits; it acts again only when a rejected submission leaves the batch
+/// with no task open, since nothing would retry it then.
+class BatchRun {
+ public:
+  /// Submits query `index` into `sink`; false when admission rejected it
+  /// (the sink has then already seen OnComplete(kRejected)).
+  using SubmitFn = std::function<bool(size_t index, AnswerSink* sink)>;
+  /// Runs query `index` to its end on the calling thread, delivering
+  /// into `sink` as a task would, OnComplete included.
+  using InlineFn = std::function<void(size_t index, AnswerSink* sink)>;
+
+  BatchRun(const std::vector<size_t>& queries, size_t window,
+           std::vector<SearchResult>* results, const BatchOptions& batch,
+           SubmitFn submit, InlineFn run_inline)
+      : submit_(std::move(submit)),
+        run_inline_(std::move(run_inline)),
+        window_(window),
+        total_(queries.size()),
+        pending_(queries.begin(), queries.end()) {
+    sinks_.reserve(results->size());  // stable addresses: tasks hold them
+    for (size_t i = 0; i < results->size(); ++i) {
+      sinks_.emplace_back(this, i, &(*results)[i], &batch);
+    }
+  }
+
+  /// Runs every query; returns once the last task is done with `this`.
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      if (!Feed(lock) && open_ == 0) {
+        size_t index = pending_.front();
+        pending_.pop_front();
+        ++open_;
+        lock.unlock();
+        run_inline_(index, &sinks_[index]);
+        lock.lock();
+        continue;
+      }
+      if (done_ == total_) return;
+      cv_.wait(lock, [&] {
+        return done_ == total_ || (open_ == 0 && !pending_.empty());
+      });
+    }
+  }
+
+ private:
+  /// Collects one query's answers into its result slot, firing
+  /// BatchOptions::on_answer as each arrives.
+  class Sink : public AnswerSink {
+   public:
+    Sink(BatchRun* run, size_t index, SearchResult* result,
+         const BatchOptions* batch)
+        : run_(run), index_(index), result_(result), batch_(batch) {}
+
+    void OnAnswer(const AnswerTree& answer) override {
+      if (batch_->on_answer) batch_->on_answer(index_, answer);
+      result_->answers.push_back(answer);
+    }
+
+    void OnComplete(SubscribeStatus status,
+                    const SearchMetrics& metrics) override {
+      result_->metrics = metrics;
+      // A rejected submission never opened; whoever submitted it retries.
+      if (status != SubscribeStatus::kRejected) run_->Finished();
+    }
+
+   private:
+    BatchRun* const run_;
+    const size_t index_;
+    SearchResult* const result_;
+    const BatchOptions* const batch_;
+  };
+
+  /// Submits pending queries while fewer than `window_` are open; false
+  /// when a submission was rejected (it goes back to the front).
+  bool Feed(std::unique_lock<std::mutex>& lock) {
+    while (open_ < window_ && !pending_.empty()) {
+      size_t index = pending_.front();
+      pending_.pop_front();
+      ++open_;
+      lock.unlock();
+      bool admitted = submit_(index, &sinks_[index]);
+      lock.lock();
+      if (!admitted) {
+        --open_;
+        pending_.push_front(index);
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// A task's terminal OnComplete: refill the window from this worker.
+  /// done_ moves last, so the calling thread cannot return (and free
+  /// `this`) while any sink is still inside.
+  void Finished() {
+    std::unique_lock<std::mutex> lock(mu_);
+    --open_;
+    Feed(lock);
+    ++done_;
+    if (done_ == total_ || (open_ == 0 && !pending_.empty())) {
+      cv_.notify_all();
+    }
+  }
+
+  const SubmitFn submit_;
+  const InlineFn run_inline_;
+  const size_t window_;
+  const size_t total_;
+  std::vector<Sink> sinks_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<size_t> pending_;  // queries not yet submitted, in order
+  size_t open_ = 0;             // submitted, terminal OnComplete not yet run
+  size_t done_ = 0;
+};
+
 }  // namespace
 
 BatchResult Engine::QueryBatch(const std::vector<BatchQuerySpec>& specs,
                                Algorithm algorithm,
                                const SearchOptions& options,
                                const BatchOptions& batch) const {
+  Scheduler& scheduler = batch.scheduler != nullptr ? *batch.scheduler
+                                                    : Scheduler::Default();
+  if (scheduler.num_workers() == 0) {
+    throw std::invalid_argument(
+        "QueryBatch: the scheduler has no worker threads");
+  }
   BatchResult out;
   out.results.resize(specs.size());
   if (specs.empty()) return out;
@@ -275,88 +404,44 @@ BatchResult Engine::QueryBatch(const std::vector<BatchQuerySpec>& specs,
   }
 
   // ---- Execute phase ---------------------------------------------------
-  // One shared searcher (Search is const), one context per worker from
-  // the pool. Workers pull query indices off an atomic counter; results
-  // land in their input slot, so scheduling order never shows.
-  auto searcher =
-      CreateSearcher(algorithm, snap->data.graph, snap->prestige, options);
-  SearchContextPool local_pool;
-  SearchContextPool* pool = batch.pool != nullptr ? batch.pool : &local_pool;
-
-  size_t num_threads =
-      batch.num_threads != 0
-          ? batch.num_threads
-          : static_cast<size_t>(std::thread::hardware_concurrency());
-  if (num_threads == 0) num_threads = 1;
-  if (num_threads > specs.size()) num_threads = specs.size();
-
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    // Claim work before taking a lease: a worker that arrives after the
-    // batch is drained (or finds only cache-served queries) must not
-    // grow a caller-shared pool with a context that would never run a
-    // query.
-    size_t i = next.fetch_add(1, std::memory_order_relaxed);
-    while (i < specs.size() && served[i]) {
-      i = next.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (i >= specs.size()) return;
-    SearchContextPool::Lease lease = pool->Acquire();
-    for (; i < specs.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (served[i]) continue;
-      if (!batch.on_answer) {
-        out.results[i] = searcher->Search(*origins[i], lease.get());
-        continue;
-      }
-      // Streaming delivery: pull the search one released answer at a
-      // time and fire the callback in release order. Pausing is
-      // behavior-neutral, so the final result is identical to the
-      // non-streaming run's.
-      SearchContext* context = lease.get();
-      context->stream.Reset();
-      size_t reported = 0;
-      for (;;) {
-        StepLimits limits;
-        limits.release_target = reported + 1;
-        SearchStatus status = searcher->Resume(*origins[i], context, limits);
-        const std::vector<AnswerTree>& released =
-            context->stream.result.answers;
-        for (; reported < released.size(); ++reported) {
-          batch.on_answer(i, released[reported]);
-        }
-        if (status == SearchStatus::kDone) break;
-      }
-      out.results[i] = std::move(context->stream.result);
-      context->stream.Reset();
-    }
-  };
-
-  if (num_threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    std::exception_ptr failure;
-    std::mutex failure_mu;
-    for (size_t t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&]() {
-        try {
-          worker();
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (!failure) failure = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    if (failure) std::rethrow_exception(failure);
+  // Each uncached query is a task on the batch's snapshot, delivering
+  // into its own sink; results land in their input slot, so scheduling
+  // order never shows. The batch keeps at most num_workers() tasks open,
+  // so it does not flood the admission queue other subscribers share.
+  // A rejected submission is retried when one of the batch's tasks
+  // finishes; with none open it runs inline on this thread instead.
+  std::vector<size_t> queries;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (!served[i]) queries.push_back(i);
   }
+  SubscribeOptions subscribe;
+  subscribe.scheduler = &scheduler;
+  BatchRun run(
+      queries, scheduler.num_workers(), &out.results, batch,
+      [&](size_t i, AnswerSink* sink) {
+        return SubscribeOn(snap, *origins[i], algorithm, sink, options,
+                           subscribe)
+                   .admission() != AdmissionState::kRejected;
+      },
+      [&](size_t i, AnswerSink* sink) {
+        // The drained path, answers still delivered one at a time.
+        auto searcher = CreateSearcher(algorithm, snap->data.graph,
+                                       snap->prestige, options);
+        StreamOptions stream_options;
+        stream_options.pool = &scheduler.context_pool();
+        AnswerStream stream(searcher.get(), {}, origins[i], stream_options,
+                            nullptr, nullptr);
+        while (std::optional<AnswerTree> answer = stream.Next()) {
+          sink->OnAnswer(*answer);
+        }
+        sink->OnComplete(SubscribeStatus::kCompleted, stream.Drain().metrics);
+      });
+  run.Run();
 
   // ---- Cache store ------------------------------------------------------
-  // Executed keyword queries feed the shared cache before the dedup hook
-  // below can filter their answers: the cache holds each query's own
-  // full result, exactly what a later standalone hit should serve.
+  // Executed keyword queries feed the shared cache: it holds each
+  // query's own full result, exactly what a later standalone hit should
+  // serve.
   if (batch.answer_cache != nullptr) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (served[i] || cache_keys[i].empty()) continue;
@@ -365,29 +450,8 @@ BatchResult Engine::QueryBatch(const std::vector<BatchQuerySpec>& specs,
     }
   }
 
-  // ---- Aggregate + dedup hook ------------------------------------------
-  std::unordered_set<uint64_t> seen_signatures;
-  for (SearchResult& r : out.results) {
+  for (const SearchResult& r : out.results) {
     AccumulateMetrics(r.metrics, &out.total);
-    if (!batch.dedup_answers) continue;
-    std::vector<AnswerTree> kept;
-    std::vector<uint64_t> kept_signatures;
-    kept.reserve(r.answers.size());
-    kept_signatures.reserve(r.answers.size());
-    for (AnswerTree& tree : r.answers) {
-      uint64_t signature = tree.Signature();
-      if (seen_signatures.count(signature) > 0) {
-        ++out.answers_deduplicated;
-      } else {
-        kept.push_back(std::move(tree));
-        kept_signatures.push_back(signature);
-      }
-    }
-    // Answers of one query join the seen set only after the whole query
-    // is filtered: within-query duplicate suppression is the searcher's
-    // job (§4.6 Signature collisions), not the batch's.
-    seen_signatures.insert(kept_signatures.begin(), kept_signatures.end());
-    r.answers = std::move(kept);
   }
   return out;
 }

@@ -74,32 +74,28 @@ struct BatchQuerySpec {
 
 /// Execution knobs for Engine::QueryBatch.
 struct BatchOptions {
-  /// Worker threads executing queries. 1 runs the batch inline on the
-  /// calling thread; 0 means std::thread::hardware_concurrency().
-  /// Thread count never changes results: queries are independent and
-  /// results are returned in input order.
-  size_t num_threads = 1;
-
-  /// Drop answers that duplicate (same tree Signature()) an answer of an
-  /// *earlier* query in the batch. Off by default — with it off, each
-  /// query's results are byte-identical to a standalone Query call.
-  bool dedup_answers = false;
-
-  /// Context pool to draw scratch space from; batches sharing a pool
-  /// across calls reuse warm contexts. nullptr uses a batch-local pool
-  /// (first batch pays the cold-context cost).
-  SearchContextPool* pool = nullptr;
+  /// Scheduler the batch's queries run on, one task per uncached query;
+  /// null uses the process-wide Scheduler::Default(). The batch keeps
+  /// about num_workers() of its own tasks open at a time and leases
+  /// contexts from the scheduler's context_pool(), so batches on one
+  /// scheduler reuse warm contexts. A manual-drive scheduler
+  /// (num_workers = 0) is rejected with std::invalid_argument: nothing
+  /// would run the tasks the calling thread waits on. The worker count
+  /// never changes results: queries are independent and results are
+  /// returned in input order.
+  Scheduler* scheduler = nullptr;
 
   /// Streaming delivery: when set, invoked for every answer of every
   /// query *in release order* while its search is still running
   /// (query_index is the spec's input position; the reference is only
-  /// valid during the call). Runs on the worker thread executing that
-  /// query, so it must be thread-safe when num_threads > 1; answers of
-  /// one query arrive in order, answers of different queries interleave.
+  /// valid during the call). Runs on the scheduler worker delivering
+  /// that query's answers (on the calling thread for a query run
+  /// inline), so it must be thread-safe; answers of one query arrive in
+  /// order, answers of different queries interleave.
   /// Answers still land in BatchResult::results, and the sequence per
   /// query is identical to the non-streaming run's. Cache-served
   /// queries (answer_cache) replay their answers through the callback
-  /// on the calling thread before workers start.
+  /// on the calling thread before any search starts.
   std::function<void(size_t query_index, const AnswerTree& answer)> on_answer;
 
   /// Opt-in result cache shared across batches: keyword-spec queries
@@ -126,9 +122,6 @@ struct BatchResult {
   /// Queries whose keyword set was already resolved earlier in this
   /// batch and skipped the index lookups.
   size_t origin_cache_hits = 0;
-
-  /// Answers removed by BatchOptions::dedup_answers.
-  size_t answers_deduplicated = 0;
 
   /// Queries served from BatchOptions::answer_cache without searching.
   /// (Served results keep the metrics of the run that produced them.)
@@ -256,20 +249,22 @@ class Engine {
                                  const SearchOptions& options = {},
                                  const SubscribeOptions& subscribe = {}) const;
 
-  /// Executes a batch of independent queries, optionally across worker
-  /// threads, returning results in input order.
+  /// Executes a batch of independent queries as tasks on the serving
+  /// core, returning results in input order.
   ///
   /// The batch path amortizes what a loop of Query calls cannot:
-  ///  * one searcher is constructed per batch and shared by all workers
-  ///    (Searcher::Search is const — scratch lives in the context);
-  ///  * contexts come from a SearchContextPool, so N threads reuse the
-  ///    pool's warm contexts instead of allocating fresh state;
+  ///  * every query runs on the batch's one snapshot, spread over the
+  ///    scheduler's workers (BatchOptions::scheduler);
+  ///  * contexts come from the scheduler's SearchContextPool, so the
+  ///    workers reuse warm contexts instead of allocating fresh state;
   ///  * keyword resolution is cached batch-wide — duplicate keyword
   ///    sets skip the inverted-index lookups entirely.
   ///
-  /// With BatchOptions::dedup_answers off (default), results[i] is
-  /// byte-identical to Query(specs[i].keywords, ...) modulo timing
-  /// fields, at any thread count.
+  /// Admission limits never fail a batch: a rejected submission is
+  /// retried when one of the batch's own tasks finishes, and runs inline
+  /// on the calling thread when the batch has none open.
+  /// results[i] is byte-identical to Query(specs[i].keywords, ...)
+  /// modulo timing fields, at any worker count.
   BatchResult QueryBatch(const std::vector<BatchQuerySpec>& specs,
                          Algorithm algorithm,
                          const SearchOptions& options = {},

@@ -8,9 +8,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <deque>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/timer.h"
 
@@ -25,21 +31,46 @@ constexpr size_t kReadChunk = 64 * 1024;
 /// One response frame queued for a connection. `grant_credit` marks
 /// answer frames of window-credited requests: when the frame's last byte
 /// reaches the kernel, the request gets one delivery credit back — the
-/// writability→credit mapping.
+/// writability→credit mapping. `final` marks a request's kFinal, the
+/// last frame its sink ever queues: moving it to the outbuf retires the
+/// request.
 struct Server::OutFrame {
   std::string bytes;
   size_t offset = 0;
   uint64_t request_id = 0;
   bool is_answer = false;
   bool grant_credit = false;
+  bool final = false;
+};
+
+/// Everything a sink touches outside its own connection. Refcounted by
+/// the Server and every ConnShared, so a sink whose task ends after the
+/// Server is gone (a cancelled request of a closed connection, driven to
+/// its end later) still writes to live memory.
+struct Server::Hub {
+  ~Hub() {
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+
+  void Wake() const {
+    uint64_t one = 1;
+    // A full eventfd counter still wakes the loop; EAGAIN is fine.
+    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof one);
+  }
+
+  int wake_fd = -1;
+  std::mutex mu;  // guards `dirty`; never held with anything else
+  std::vector<uint64_t> dirty;
+  std::atomic<uint64_t> requests_open{0};
+  std::atomic<uint64_t> output_backlog_frames{0};
 };
 
 /// State shared between a connection (loop thread) and its sinks
 /// (scheduler workers). Lives until the last sink drops it, which may be
-/// after the connection itself is gone.
+/// after the connection — and the Server — are gone.
 struct Server::ConnShared {
-  Server* server;
-  uint64_t conn_id;
+  std::shared_ptr<Hub> hub;
+  uint64_t conn_id = 0;
 
   std::mutex mu;
   std::deque<OutFrame> pending;  // frames queued by sinks, not yet
@@ -47,16 +78,16 @@ struct Server::ConnShared {
   bool closed = false;           // connection gone: drop instead of queue
 };
 
-struct Server::DirtyQueue {
-  std::mutex mu;
-  std::vector<uint64_t> conn_ids;
-};
-
 /// AnswerSink bridging one request to its connection: serializes frames
 /// on the scheduler worker and hands them to the loop thread. Never
 /// blocks on socket progress — flow control is the scheduler's credit
 /// machinery, not sink-side waiting (the sink threading rules forbid
 /// blocking here).
+///
+/// The sink owns itself: the scheduler makes exactly one OnComplete
+/// call per Submit and never touches the sink afterwards, so OnComplete
+/// frees it as its last act. It touches only refcounted state, never
+/// the Server.
 class Server::SocketSink : public AnswerSink {
  public:
   SocketSink(std::shared_ptr<ConnShared> shared, uint64_t request_id,
@@ -75,15 +106,18 @@ class Server::SocketSink : public AnswerSink {
   void OnComplete(SubscribeStatus status, const SearchMetrics& metrics) override {
     WireWriter w;
     WriteFinalReply(&w, FinalReply{status, metrics});
+    // The request stops counting as open before its kFinal can reach
+    // the loop, so a loop that retires the request (and a drain that
+    // then ends) never observes it still open.
+    shared_->hub->requests_open.fetch_sub(1, std::memory_order_relaxed);
     Push(EncodeFrame(FrameType::kFinal, request_id_, w.data()),
-         /*is_answer=*/false, /*grant_credit=*/false);
+         /*is_answer=*/false, /*grant_credit=*/false, /*final=*/true);
+    delete this;
   }
 
-  bool grant_on_flush() const { return grant_on_flush_; }
-
  private:
-  void Push(std::string frame, bool is_answer, bool grant_credit) {
-    Server* server = shared_->server;
+  void Push(std::string frame, bool is_answer, bool grant_credit,
+            bool final = false) {
     {
       std::lock_guard<std::mutex> lock(shared_->mu);
       if (shared_->closed) return;
@@ -92,14 +126,17 @@ class Server::SocketSink : public AnswerSink {
       out.request_id = request_id_;
       out.is_answer = is_answer;
       out.grant_credit = grant_credit;
+      out.final = final;
       shared_->pending.push_back(std::move(out));
+      shared_->hub->output_backlog_frames.fetch_add(1,
+                                                    std::memory_order_relaxed);
     }
-    server->output_backlog_frames_.fetch_add(1, std::memory_order_relaxed);
+    Hub& hub = *shared_->hub;
     {
-      std::lock_guard<std::mutex> lock(server->dirty_->mu);
-      server->dirty_->conn_ids.push_back(shared_->conn_id);
+      std::lock_guard<std::mutex> lock(hub.mu);
+      hub.dirty.push_back(shared_->conn_id);
     }
-    server->Wake();
+    hub.Wake();
   }
 
   std::shared_ptr<ConnShared> shared_;
@@ -123,17 +160,14 @@ struct Server::Conn {
   Timer since_flush;     // restarted when the kernel takes bytes or the
                          // outbuf turns non-empty: how long it stalled
 
-  struct Request {
-    std::unique_ptr<SocketSink> sink;
-    Subscription sub;
-  };
-  std::unordered_map<uint64_t, Request> requests;
+  // Open requests, retired when their kFinal moves to the outbuf.
+  std::unordered_map<uint64_t, Subscription> requests;
 };
 
 Server::Server(const Engine* engine, ServerOptions options)
     : engine_(engine),
       options_(std::move(options)),
-      dirty_(std::make_unique<DirtyQueue>()) {
+      hub_(std::make_shared<Hub>()) {
   if (options_.scheduler != nullptr) {
     scheduler_ = options_.scheduler;
   } else {
@@ -145,7 +179,6 @@ Server::Server(const Engine* engine, ServerOptions options)
 Server::~Server() {
   Shutdown(drain_seconds_.load());
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 bool Server::Start(std::string* error) {
@@ -153,8 +186,8 @@ bool Server::Start(std::string* error) {
     if (error != nullptr) *error = what + ": " + std::strerror(errno);
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    if (hub_->wake_fd >= 0) ::close(hub_->wake_fd);
+    listen_fd_ = epoll_fd_ = hub_->wake_fd = -1;
     return false;
   };
 
@@ -184,25 +217,19 @@ bool Server::Start(std::string* error) {
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return fail("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) return fail("eventfd");
+  hub_->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (hub_->wake_fd < 0) return fail("eventfd");
 
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   ev.data.u64 = kWakeKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, hub_->wake_fd, &ev);
 
   started_.store(true);
   loop_ = std::thread([this] { Loop(); });
   return true;
-}
-
-void Server::Wake() {
-  uint64_t one = 1;
-  // A full eventfd counter still wakes the loop; EAGAIN is fine.
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
 void Server::Shutdown(double drain_seconds) {
@@ -210,7 +237,7 @@ void Server::Shutdown(double drain_seconds) {
     if (!started_.load()) return;
     drain_seconds_.store(drain_seconds);
     shutdown_requested_.store(true);
-    Wake();
+    hub_->Wake();
     loop_.join();
   });
 }
@@ -224,8 +251,9 @@ Server::Stats Server::stats() const {
   s.answers_sent = answers_sent_.load();
   s.protocol_errors = protocol_errors_.load();
   s.requests_opened = requests_opened_.load();
-  s.requests_open = requests_open_.load();
-  s.output_backlog_frames = output_backlog_frames_.load();
+  s.requests_open = hub_->requests_open.load();
+  s.output_backlog_frames = hub_->output_backlog_frames.load();
+  s.loop_wakeups = loop_wakeups_.load();
   return s;
 }
 
@@ -243,22 +271,28 @@ void Server::Loop() {
       listen_fd_ = -1;
     }
 
+    // Idle, the loop sleeps until an event: a socket, or a sink's wake.
+    // Every request retires on its own kFinal, which always wakes the
+    // loop, so nothing needs a periodic check.
+    int timeout_ms = -1;
     if (draining) {
+      const double drain_seconds = drain_seconds_.load();
       // Drain deadline: cancel whatever is still open, once.
-      if (!drain_cancelled && drain_timer.ElapsedSeconds() >= drain_seconds_.load()) {
+      if (!drain_cancelled && drain_timer.ElapsedSeconds() >= drain_seconds) {
         drain_cancelled = true;
         for (auto& [id, conn] : conns_) {
-          for (auto& [rid, req] : conn->requests) req.sub.Cancel();
+          for (auto& [rid, sub] : conn->requests) sub.Cancel();
         }
-        for (auto& [sink, sub] : draining_) sub.Cancel();
       }
       // Second deadline: a reader that stopped reading can keep its
       // outbuf unflushable forever — force its socket closed (its
-      // cancelled tasks finish into draining_ and are waited out below).
-      // A slow reader that still takes bytes keeps its connection, so
-      // its kFinal(kCancelled) arrives behind the answers it is reading.
-      if (drain_cancelled &&
-          drain_timer.ElapsedSeconds() >= drain_seconds_.load() + 1.0) {
+      // cancelled tasks finish on their own; their sinks free
+      // themselves). A slow reader that still takes bytes keeps its
+      // connection, so its kFinal(kCancelled) arrives behind the answers
+      // it is reading.
+      const bool stall_checks =
+          drain_cancelled && drain_timer.ElapsedSeconds() >= drain_seconds + 1.0;
+      if (stall_checks) {
         std::vector<uint64_t> stalled;
         for (auto& [id, conn] : conns_) {
           // Flush first: the socket may have drained while this thread
@@ -271,28 +305,35 @@ void Server::Loop() {
         }
         for (uint64_t id : stalled) DestroyConn(id);
       }
-      bool busy = !draining_.empty();
+      bool busy = false;
       for (auto& [id, conn] : conns_) {
         busy = busy || !conn->requests.empty() || !conn->outbuf.empty();
         std::lock_guard<std::mutex> lock(conn->shared->mu);
         busy = busy || !conn->shared->pending.empty();
       }
       if (!busy) break;  // drained: close everything below
+
+      // Sleep until the next deadline; past both, until the earliest
+      // unflushed outbuf would have stalled for a second.
+      double next = std::numeric_limits<double>::infinity();
+      if (!stall_checks) {
+        next = (drain_cancelled ? drain_seconds + 1.0 : drain_seconds) -
+               drain_timer.ElapsedSeconds();
+      } else {
+        for (auto& [id, conn] : conns_) {
+          if (conn->outbuf.empty()) continue;
+          next = std::min(next, 1.0 - conn->since_flush.ElapsedSeconds());
+        }
+      }
+      if (std::isfinite(next)) {
+        timeout_ms = static_cast<int>(std::max(next, 0.0) * 1e3) + 1;
+      }
     }
 
-    // Parked tasks of dead connections finish without waking the loop;
-    // poll while any exist (or while draining, to re-check the exit
-    // condition). Open requests also force a tick: a task's terminal
-    // frame wakes the loop from *inside* OnComplete, so the sweep
-    // triggered by that wake can observe finished() still false — with
-    // no later wake, the entry would never be reaped without this.
-    bool sweep_pending = requests_open_.load(std::memory_order_relaxed) > 0;
-    int timeout_ms = (draining || !draining_.empty() || sweep_pending)
-                         ? 20
-                         : -1;
     epoll_event events[64];
     int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     if (n < 0 && errno != EINTR) break;
+    loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
 
     for (int i = 0; i < n; ++i) {
       uint64_t key = events[i].data.u64;
@@ -303,7 +344,7 @@ void Server::Loop() {
       }
       if (key == kWakeKey) {
         uint64_t drainv;
-        while (::read(wake_fd_, &drainv, sizeof drainv) > 0) {
+        while (::read(hub_->wake_fd, &drainv, sizeof drainv) > 0) {
         }
         continue;
       }
@@ -322,32 +363,12 @@ void Server::Loop() {
     // Pick up frames the sinks queued since the last pass.
     std::vector<uint64_t> dirty;
     {
-      std::lock_guard<std::mutex> lock(dirty_->mu);
-      dirty.swap(dirty_->conn_ids);
+      std::lock_guard<std::mutex> lock(hub_->mu);
+      dirty.swap(hub_->dirty);
     }
     for (uint64_t id : dirty) {
       auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      DrainPending(it->second.get());
-      if (conns_.find(id) != conns_.end()) SweepFinished(it->second.get());
-    }
-
-    // Periodic pass for entries whose wake raced their finished() flip
-    // (see timeout_ms above): sweep every conn that still has open
-    // requests, not just the ones marked dirty since the last pass.
-    if (sweep_pending) {
-      for (auto& [id, conn] : conns_) {
-        if (!conn->requests.empty()) SweepFinished(conn.get());
-      }
-    }
-
-    // Reap finished tasks of disconnected clients.
-    if (!draining_.empty()) {
-      std::erase_if(draining_, [&](auto& entry) {
-        if (!entry.second.finished()) return false;
-        requests_open_.fetch_sub(1, std::memory_order_relaxed);
-        return true;
-      });
+      if (it != conns_.end()) DrainPending(it->second.get());
     }
 
     // A closing connection lingers until its error/final frames are out.
@@ -358,20 +379,13 @@ void Server::Loop() {
     for (uint64_t id : doomed) DestroyConn(id);
   }
 
-  // Loop exit: every task is terminal and every flushable byte is out.
+  // Loop exit: every flushable byte is out. Requests of connections
+  // closed on the way may still be finishing; their sinks free
+  // themselves.
   std::vector<uint64_t> ids;
   ids.reserve(conns_.size());
   for (auto& [id, conn] : conns_) ids.push_back(id);
   for (uint64_t id : ids) DestroyConn(id);
-  // Safety net for abnormal exits (epoll failure): a sink must stay
-  // alive until its task's terminal OnComplete, so wait any leftover
-  // tasks out before destroying the sinks. Empty on the normal path.
-  for (auto& [sink, sub] : draining_) {
-    sub.Cancel();
-    sub.Wait();
-    requests_open_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  draining_.clear();
 }
 
 void Server::Accept() {
@@ -389,9 +403,14 @@ void Server::Accept() {
     auto conn = std::make_unique<Conn>();
     conn->id = next_conn_id_++;
     conn->fd = fd;
-    conn->tenant = "c" + std::to_string(conn->id);
+    // snprintf, not "c" + std::to_string: GCC 12 at -O3 flags the
+    // inlined string concatenation with a false -Wrestrict.
+    char tenant[24];
+    std::snprintf(tenant, sizeof tenant, "c%llu",
+                  static_cast<unsigned long long>(conn->id));
+    conn->tenant = tenant;
     conn->shared = std::make_shared<ConnShared>();
-    conn->shared->server = this;
+    conn->shared->hub = hub_;
     conn->shared->conn_id = conn->id;
 
     epoll_event ev{};
@@ -493,7 +512,7 @@ bool Server::Dispatch(Conn* conn, const FrameHeader& header,
     out.bytes = EncodeFrame(FrameType::kHelloOk, header.request_id, w.data());
     out.request_id = header.request_id;
     conn->outbuf.push_back(std::move(out));
-    output_backlog_frames_.fetch_add(1, std::memory_order_relaxed);
+    hub_->output_backlog_frames.fetch_add(1, std::memory_order_relaxed);
     FlushConn(conn);
     return true;
   }
@@ -519,7 +538,7 @@ bool Server::Dispatch(Conn* conn, const FrameHeader& header,
                   "no such request", /*fatal=*/false);
         return true;
       }
-      it->second.sub.AddCredits(credits);
+      it->second.AddCredits(credits);
       return true;
     }
 
@@ -530,7 +549,7 @@ bool Server::Dispatch(Conn* conn, const FrameHeader& header,
                   "no such request", /*fatal=*/false);
         return true;
       }
-      it->second.sub.Cancel();
+      it->second.Cancel();
       return true;
     }
 
@@ -540,7 +559,7 @@ bool Server::Dispatch(Conn* conn, const FrameHeader& header,
                               std::string(payload, header.payload_bytes));
       out.request_id = header.request_id;
       conn->outbuf.push_back(std::move(out));
-      output_backlog_frames_.fetch_add(1, std::memory_order_relaxed);
+      hub_->output_backlog_frames.fetch_add(1, std::memory_order_relaxed);
       FlushConn(conn);
       return true;
     }
@@ -582,18 +601,17 @@ void Server::OpenRequest(Conn* conn, FrameType type, uint64_t request_id,
   subscribe.answer_credits =
       pull ? req.initial_credits : options_.credit_window;
 
-  Conn::Request entry;
-  entry.sink = std::make_unique<SocketSink>(conn->shared, request_id, !pull);
-  // Admission control runs inside Subscribe; a rejected task has already
-  // pushed its kFinal(kRejected) through the sink when this returns —
-  // the protocol-error surface of backpressure.
-  entry.sub = engine_->Subscribe(req.keywords, req.algorithm, entry.sink.get(),
-                                 req.options, subscribe);
+  // The sink owns itself from here: its OnComplete frees it. Admission
+  // control runs inside Subscribe; a rejected task has already pushed
+  // its kFinal(kRejected) through the sink when this returns — the
+  // protocol-error surface of backpressure.
+  auto* sink = new SocketSink(conn->shared, request_id, !pull);
   requests_opened_.fetch_add(1, std::memory_order_relaxed);
-  requests_open_.fetch_add(1, std::memory_order_relaxed);
-  conn->requests.emplace(request_id, std::move(entry));
+  hub_->requests_open.fetch_add(1, std::memory_order_relaxed);
+  conn->requests.emplace(
+      request_id, engine_->Subscribe(req.keywords, req.algorithm, sink,
+                                     req.options, subscribe));
   DrainPending(conn);
-  SweepFinished(conn);
 }
 
 void Server::DrainPending(Conn* conn) {
@@ -603,27 +621,14 @@ void Server::DrainPending(Conn* conn) {
     pending.swap(conn->shared->pending);
   }
   if (conn->outbuf.empty() && !pending.empty()) conn->since_flush.Restart();
-  for (OutFrame& frame : pending) conn->outbuf.push_back(std::move(frame));
+  for (OutFrame& frame : pending) {
+    // A kFinal is its sink's last frame: the request retires as the
+    // frame joins the outbuf, so a later kNext/kCancel for the id is
+    // answered kUnknownRequest *behind* it, never ahead of it.
+    if (frame.final) conn->requests.erase(frame.request_id);
+    conn->outbuf.push_back(std::move(frame));
+  }
   if (!conn->outbuf.empty()) FlushConn(conn);
-}
-
-void Server::SweepFinished(Conn* conn) {
-  // A request whose terminal OnComplete has returned needs no credit
-  // grants anymore. Its kFinal was queued in the shared pending list
-  // before finished() flipped, so move pending frames to the outbuf
-  // before reaping: otherwise a late kNext for the reaped id would be
-  // answered kUnknownRequest *ahead* of the still-pending kFinal, and
-  // the client would see a completed request end in an error.
-  std::vector<uint64_t> done;
-  for (auto& [id, request] : conn->requests) {
-    if (request.sub.finished()) done.push_back(id);
-  }
-  if (done.empty()) return;
-  DrainPending(conn);
-  for (uint64_t id : done) {
-    conn->requests.erase(id);
-    requests_open_.fetch_sub(1, std::memory_order_relaxed);
-  }
 }
 
 void Server::FlushConn(Conn* conn) {
@@ -637,8 +642,8 @@ void Server::FlushConn(Conn* conn) {
       // Write error (peer reset): drop the backlog and let the loop's
       // doomed sweep destroy the connection. Never destroy here — the
       // callers (ReadConn's parse loop, DrainPending) still hold `conn`.
-      output_backlog_frames_.fetch_sub(conn->outbuf.size(),
-                                       std::memory_order_relaxed);
+      hub_->output_backlog_frames.fetch_sub(conn->outbuf.size(),
+                                            std::memory_order_relaxed);
       conn->outbuf.clear();
       conn->closing = true;
       UpdateInterest(conn);
@@ -649,7 +654,7 @@ void Server::FlushConn(Conn* conn) {
     if (frame.offset < frame.bytes.size()) break;  // kernel buffer full
 
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    output_backlog_frames_.fetch_sub(1, std::memory_order_relaxed);
+    hub_->output_backlog_frames.fetch_sub(1, std::memory_order_relaxed);
     bool grant = frame.grant_credit;
     uint64_t rid = frame.request_id;
     if (frame.is_answer) answers_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -658,7 +663,7 @@ void Server::FlushConn(Conn* conn) {
       // Frame fully handed to the kernel: the socket absorbed it, so the
       // scheduler may deliver one more answer for this request.
       auto it = conn->requests.find(rid);
-      if (it != conn->requests.end()) it->second.sub.AddCredits(1);
+      if (it != conn->requests.end()) it->second.AddCredits(1);
     }
   }
   bool want = !conn->outbuf.empty();
@@ -685,7 +690,7 @@ void Server::SendError(Conn* conn, uint64_t request_id, ErrorCode code,
   out.bytes = EncodeFrame(FrameType::kError, request_id, w.data());
   out.request_id = request_id;
   conn->outbuf.push_back(std::move(out));
-  output_backlog_frames_.fetch_add(1, std::memory_order_relaxed);
+  hub_->output_backlog_frames.fetch_add(1, std::memory_order_relaxed);
   if (fatal && !conn->closing) {
     conn->closing = true;  // stop reading; DestroyConn once flushed
     UpdateInterest(conn);
@@ -715,16 +720,12 @@ void Server::DestroyConn(uint64_t conn_id) {
     dropped = conn->shared->pending.size();
     conn->shared->pending.clear();
   }
-  output_backlog_frames_.fetch_sub(dropped + conn->outbuf.size(),
-                                   std::memory_order_relaxed);
+  hub_->output_backlog_frames.fetch_sub(dropped + conn->outbuf.size(),
+                                        std::memory_order_relaxed);
 
-  // Disconnect cancels the connection's in-flight tasks; their sinks
-  // must outlive the terminal OnComplete, so park them in draining_.
-  for (auto& [rid, req] : conn->requests) {
-    req.sub.Cancel();
-    draining_.emplace_back(std::move(req.sink), std::move(req.sub));
-  }
-  conn->requests.clear();
+  // Disconnect cancels the connection's in-flight tasks. Nothing waits
+  // for them: each sink frees itself at its terminal OnComplete.
+  for (auto& [rid, sub] : conn->requests) sub.Cancel();
 
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);

@@ -8,8 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "banks/engine.h"
 #include "net/wire.h"
@@ -85,6 +83,10 @@ class Server {
     /// with a credit window W, one request never holds more than W + 1
     /// frames here no matter how slow its reader is.
     uint64_t output_backlog_frames = 0;
+    /// epoll_wait returns of the event loop. The loop sleeps without a
+    /// timer unless it is draining, so an idle server — idle open
+    /// requests included — holds this still.
+    uint64_t loop_wakeups = 0;
   };
 
   /// The engine (and external scheduler, if any) must outlive the server.
@@ -118,6 +120,7 @@ class Server {
  private:
   struct Conn;
   struct ConnShared;
+  struct Hub;
   struct OutFrame;
   class SocketSink;
 
@@ -129,13 +132,11 @@ class Server {
                    const char* payload, size_t payload_bytes);
   void FlushConn(Conn* conn);
   void DrainPending(Conn* conn);
-  void SweepFinished(Conn* conn);
   void CloseConn(Conn* conn, bool flush_first);
   void DestroyConn(uint64_t conn_id);
   void UpdateInterest(Conn* conn);
   void SendError(Conn* conn, uint64_t request_id, ErrorCode code,
                  const std::string& message, bool fatal);
-  void Wake();
 
   const Engine* engine_;
   ServerOptions options_;
@@ -144,7 +145,6 @@ class Server {
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
-  int wake_fd_ = -1;
   uint16_t port_ = 0;
   std::thread loop_;
   std::atomic<bool> started_{false};
@@ -152,18 +152,14 @@ class Server {
   std::atomic<double> drain_seconds_{10.0};
   std::once_flag shutdown_once_;
 
-  // Sinks (scheduler workers) mark connections dirty here; the loop
-  // drains it after each wake. Guarded by its own mutex, never held
-  // together with anything else.
-  struct DirtyQueue;
-  std::unique_ptr<DirtyQueue> dirty_;
+  // What sinks (scheduler workers) touch: the wake eventfd, the dirty
+  // queue and two counters. Shared with every sink, so a task that
+  // finishes after the Server is gone still finds it alive.
+  std::shared_ptr<Hub> hub_;
 
   // Connection table — loop-thread-only.
   uint64_t next_conn_id_ = 2;  // 0 = listen sentinel, 1 = wake sentinel
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
-  // Disconnected connections' requests whose tasks have not reached
-  // their terminal state yet (cancel issued; sinks must stay alive).
-  std::vector<std::pair<std::unique_ptr<SocketSink>, Subscription>> draining_;
 
   // Counters (atomics: read by stats() from any thread).
   std::atomic<uint64_t> connections_accepted_{0};
@@ -173,8 +169,7 @@ class Server {
   std::atomic<uint64_t> answers_sent_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> requests_opened_{0};
-  std::atomic<uint64_t> requests_open_{0};
-  std::atomic<uint64_t> output_backlog_frames_{0};
+  std::atomic<uint64_t> loop_wakeups_{0};
 };
 
 }  // namespace banks::net

@@ -2,18 +2,7 @@
 
 #include <utility>
 
-#include "serve/queue_sink.h"
-#include "serve/scheduler.h"
-
 namespace banks {
-
-/// Scheduled-mode backing: the subscription pushes into `sink`, the
-/// stream's Next()/Drain() pop from it. Declared in the header, defined
-/// here so answer_stream.h does not pull in the serve/ layer.
-struct AnswerStream::Served {
-  QueueSink sink;
-  Subscription subscription;
-};
 
 AnswerStream::AnswerStream(const Searcher* searcher,
                            std::vector<std::vector<NodeId>> origins,
@@ -33,22 +22,6 @@ AnswerStream::AnswerStream(
       borrowed_origins_(borrowed_origins),
       options_(options),
       epoch_pin_(std::move(epoch_pin)) {
-  if (options_.scheduler != nullptr && owned_searcher_ != nullptr) {
-    // Scheduled mode: hand the search to the serving core and consume
-    // its pushes. No context is held here — the scheduler attaches and
-    // detaches pooled contexts around quanta itself, and the epoch pin
-    // rides with the task (released by the scheduler's terminal step).
-    served_ = std::make_unique<Served>();
-    TaskSpec spec;
-    spec.searcher = std::move(owned_searcher_);
-    spec.origins = borrowed_origins_ != nullptr ? *borrowed_origins_
-                                                : std::move(owned_origins_);
-    borrowed_origins_ = nullptr;
-    spec.sink = &served_->sink;
-    spec.epoch_pin = std::move(epoch_pin_);
-    served_->subscription = options_.scheduler->Submit(std::move(spec));
-    return;
-  }
   if (context != nullptr) {
     external_ = context;
   } else if (options_.pool != nullptr) {
@@ -68,7 +41,6 @@ AnswerStream::AnswerStream(AnswerStream&& other) noexcept
       external_(std::exchange(other.external_, nullptr)),
       lease_(std::move(other.lease_)),
       owned_ctx_(std::move(other.owned_ctx_)),
-      served_(std::move(other.served_)),
       pulled_(std::exchange(other.pulled_, 0)),
       finished_(std::exchange(other.finished_, true)),
       hit_limit_(other.hit_limit_),
@@ -85,8 +57,6 @@ AnswerStream& AnswerStream::operator=(AnswerStream&& other) noexcept {
     external_ = std::exchange(other.external_, nullptr);
     lease_ = std::move(other.lease_);
     owned_ctx_ = std::move(other.owned_ctx_);
-    ReleaseServed();  // our own live subscription must not outlive its sink
-    served_ = std::move(other.served_);
     pulled_ = std::exchange(other.pulled_, 0);
     finished_ = std::exchange(other.finished_, true);
     hit_limit_ = other.hit_limit_;
@@ -94,19 +64,6 @@ AnswerStream& AnswerStream::operator=(AnswerStream&& other) noexcept {
     metrics_snapshot_ = std::move(other.metrics_snapshot_);
   }
   return *this;
-}
-
-AnswerStream::~AnswerStream() { ReleaseServed(); }
-
-void AnswerStream::ReleaseServed() {
-  if (served_ == nullptr) return;
-  // The scheduler may still be delivering into served_->sink; cancel
-  // and wait for the terminal push before the sink goes away. Wait
-  // returns immediately when the task already finished.
-  served_->subscription.Cancel();
-  served_->subscription.Wait();
-  metrics_snapshot_ = served_->sink.final_metrics();
-  served_.reset();
 }
 
 SearchContext* AnswerStream::context() const {
@@ -124,25 +81,6 @@ std::optional<AnswerTree> AnswerStream::TakeBuffered() {
 }
 
 std::optional<AnswerTree> AnswerStream::Next() {
-  if (served_ != nullptr) {
-    hit_limit_ = false;
-    bool timed_out = false;
-    std::optional<AnswerTree> answer =
-        options_.deadline_seconds > 0
-            ? served_->sink.PopFor(options_.deadline_seconds, &timed_out)
-            : served_->sink.Pop();
-    if (answer) {
-      ++pulled_;
-      return answer;
-    }
-    if (timed_out) {
-      hit_limit_ = true;  // still live: the scheduler keeps working
-      return std::nullopt;
-    }
-    finished_ = true;
-    metrics_snapshot_ = served_->sink.final_metrics();
-    return std::nullopt;
-  }
   hit_limit_ = false;
   SearchContext* ctx = context();
   if (ctx == nullptr) return std::nullopt;  // moved-from or cancelled
@@ -167,18 +105,6 @@ std::optional<AnswerTree> AnswerStream::Next() {
 }
 
 SearchResult AnswerStream::Drain() {
-  if (served_ != nullptr) {
-    SearchResult out;
-    served_->sink.WaitTerminal();
-    AnswerTree tree;
-    while (served_->sink.TryPop(&tree)) out.answers.push_back(std::move(tree));
-    pulled_ += out.answers.size();
-    out.metrics = served_->sink.final_metrics();
-    metrics_snapshot_ = out.metrics;
-    finished_ = true;
-    hit_limit_ = false;
-    return out;
-  }
   SearchResult out;
   SearchContext* ctx = context();
   if (ctx == nullptr) {
@@ -208,13 +134,6 @@ SearchResult AnswerStream::Drain() {
 }
 
 void AnswerStream::Cancel() {
-  if (served_ != nullptr) {
-    ReleaseServed();  // snapshots the final metrics
-    pulled_ = 0;
-    finished_ = true;
-    hit_limit_ = false;
-    return;
-  }
   SearchContext* ctx = context();
   if (ctx != nullptr) {
     metrics_snapshot_ = ctx->stream.result.metrics;
@@ -233,17 +152,12 @@ void AnswerStream::Cancel() {
 }
 
 bool AnswerStream::done() const {
-  if (served_ != nullptr) return served_->sink.exhausted();
   if (!finished_) return false;
   SearchContext* ctx = context();
   return ctx == nullptr || pulled_ >= ctx->stream.result.answers.size();
 }
 
 const SearchMetrics& AnswerStream::metrics() const {
-  // Scheduled mode: the context lives with the scheduler, so the live
-  // counters are not reachable here; the snapshot is filled at the
-  // terminal push (Next/Drain/Cancel).
-  if (served_ != nullptr) return metrics_snapshot_;
   SearchContext* ctx = context();
   return ctx != nullptr ? ctx->stream.result.metrics : metrics_snapshot_;
 }

@@ -11,8 +11,6 @@
 
 namespace banks {
 
-class Scheduler;  // serve/scheduler.h — the serving core
-
 /// Per-stream knobs for Engine::OpenQuery / OpenQueryResolved.
 struct StreamOptions {
   /// Wall-clock budget for each Next() call, in seconds. When it expires
@@ -30,23 +28,6 @@ struct StreamOptions {
   /// destructor (or an early Cancel), so pooled streams are RAII-clean.
   /// nullptr makes the stream own a private (cold) context instead.
   SearchContextPool* pool = nullptr;
-
-  /// Serving-core handoff (docs/SERVING.md): when set, the search is
-  /// submitted to this scheduler as a push subscription instead of
-  /// running inline on the pulling thread, and the stream becomes a
-  /// consumer of the subscription's QueueSink — Next() blocks until a
-  /// worker pushes the next answer (deadline_seconds bounds the wait
-  /// and reports hit_limit(); step_budget does not apply, the
-  /// scheduler's quantum does). The pulled sequence is the same
-  /// prefix-equivalent answer sequence as inline streaming; drained,
-  /// streamed and subscribed queries share one state machine. Honored
-  /// on Engine-opened streams (the task takes ownership of the
-  /// searcher) with a worker-backed scheduler (num_workers > 0); the
-  /// stream then holds NO SearchContext — `pool` and explicit contexts
-  /// are ignored, the scheduler attaches/detaches pooled contexts
-  /// itself. Mid-flight metrics() are unavailable in this mode (final
-  /// metrics arrive with the terminal push).
-  Scheduler* scheduler = nullptr;
 };
 
 /// Pull-based cursor over one running search — the paper's incremental
@@ -70,11 +51,9 @@ struct StreamOptions {
 /// leaves its context warm and fully reusable — the next query on it
 /// resets the partial search.
 ///
-/// With StreamOptions::scheduler set the same cursor rides the serving
-/// core instead: the search runs as scheduler quanta pushing into a
-/// QueueSink and Next() pulls from that sink (docs/SERVING.md). For the
-/// push-native API — sinks, tenants, deadlines, credits — see
-/// Engine::Subscribe (serve/answer_sink.h, serve/scheduler.h).
+/// The stream always runs on the pulling thread. To pull over the
+/// serving core instead, Engine::Subscribe into a QueueSink and Pop()
+/// from it (docs/SERVING.md); the sequence is the same.
 class AnswerStream {
  public:
   /// Open a stream directly over a searcher (the Engine front door
@@ -88,7 +67,6 @@ class AnswerStream {
   AnswerStream& operator=(AnswerStream&& other) noexcept;
   AnswerStream(const AnswerStream&) = delete;
   AnswerStream& operator=(const AnswerStream&) = delete;
-  ~AnswerStream();
 
   /// Runs the search until the next in-order answer is released and
   /// returns it, or nullopt when the search is exhausted (done() true)
@@ -134,8 +112,7 @@ class AnswerStream {
   /// (when non-null and `context` is null) supplies a leased context.
   /// `epoch_pin` keeps the engine snapshot the searcher reads alive
   /// until the stream's terminal transition (done, drained, cancelled,
-  /// IO error); in scheduled mode it rides into the TaskSpec and the
-  /// scheduler releases it instead.
+  /// IO error).
   AnswerStream(const Searcher* searcher,
                std::vector<std::vector<NodeId>> owned_origins,
                const std::vector<std::vector<NodeId>>* borrowed_origins,
@@ -158,15 +135,6 @@ class AnswerStream {
   SearchContext* external_ = nullptr;         // caller-provided context
   SearchContextPool::Lease lease_;            // pooled context
   std::unique_ptr<SearchContext> owned_ctx_;  // private context
-
-  /// Scheduled-mode state (StreamOptions::scheduler): the QueueSink the
-  /// subscription pushes into plus the Subscription handle. Defined in
-  /// the .cc to keep the serve/ headers out of this one.
-  struct Served;
-  /// Cancels the subscription and waits out its terminal push, so the
-  /// sink inside served_ can be destroyed safely.
-  void ReleaseServed();
-  std::unique_ptr<Served> served_;
 
   size_t pulled_ = 0;
   bool finished_ = false;  // search ran to completion, failed (IO error)

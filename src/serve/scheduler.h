@@ -51,12 +51,15 @@ struct SchedulerOptions {
 
   /// Wall-clock bound of one quantum in seconds (0 = steps-only). Also
   /// clamped by the task's remaining deadline, so a quantum never
-  /// overshoots a deadline by more than one bound check.
+  /// overshoots a deadline by more than one clock-read interval
+  /// (StepLimits::deadline_seconds).
   double quantum_seconds = 0.002;
 
   /// Context pool run slots draw from; null makes the scheduler own a
-  /// private pool. Sharing the engine-wide pool keeps contexts warm
-  /// across the subscribe and batch paths.
+  /// private pool. Every task on this scheduler leases from it —
+  /// subscriptions, wire requests and QueryBatch queries alike — so
+  /// they all keep one set of contexts warm. A caller-owned pool must
+  /// outlive the scheduler.
   SearchContextPool* context_pool = nullptr;
 };
 

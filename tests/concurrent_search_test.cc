@@ -429,10 +429,10 @@ TEST_P(ShardedStreaming, StepBudgetOnePrefixIdenticalAcrossShardCounts) {
 }
 
 // ---- Mixed stress: streams + batches over one pool ------------------------
-// Two threads pull streams while two threads run QueryBatches, all
-// drawing scratch contexts from one SearchContextPool. Every result must
-// match its lone reference, and after the storm the pool must be fully
-// idle (every lease returned).
+// Two threads pull inline streams while two threads run QueryBatches on
+// one scheduler, all drawing scratch contexts from the scheduler's
+// SearchContextPool. Every result must match its lone reference, and
+// after the storm the pool must be fully idle (every lease returned).
 
 TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   DblpConfig config;
@@ -464,7 +464,10 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
         engine.QueryResolved(origins, Algorithm::kBidirectional, options));
   }
 
-  SearchContextPool ctx_pool;
+  SchedulerOptions scheduler_options;
+  scheduler_options.num_workers = 2;
+  Scheduler scheduler(scheduler_options);
+  SearchContextPool& ctx_pool = scheduler.context_pool();
   std::atomic<size_t> mismatches{0};
   constexpr size_t kRounds = 2;
 
@@ -508,8 +511,7 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
       specs.push_back(spec);
     }
     BatchOptions batch;
-    batch.num_threads = 2;
-    batch.pool = &ctx_pool;
+    batch.scheduler = &scheduler;
     for (size_t round = 0; round < kRounds; ++round) {
       BatchResult result =
           engine.QueryBatch(specs, Algorithm::kBidirectional, options, batch);
@@ -535,7 +537,8 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   EXPECT_EQ(mismatches.load(), 0u);
   // Every lease returned: the pool is fully idle.
   EXPECT_EQ(ctx_pool.available(), ctx_pool.size());
-  // High-water: ≤ 2 streams plus ≤ 2 batches × 2 in-flight queries.
+  // High-water: ≤ 2 streams plus ≤ 2 batches × 2 open tasks (a batch
+  // keeps at most num_workers() of its tasks open).
   EXPECT_LE(ctx_pool.size(), 6u);
   EXPECT_GT(ctx_pool.acquires(), 0u);
 }

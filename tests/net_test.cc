@@ -355,6 +355,18 @@ TEST(NetServer, SlowReaderParksOnCreditsWithBoundedBuffering) {
   })) << "slow reader's task never parked in credit-wait";
   EXPECT_EQ(scheduler.context_pool().leased(), 0u);
 
+  // The first park need not be the last: the kernel may still move
+  // bytes into the unread receive buffer, and every frame that then
+  // flushes grants a credit and resumes delivery. Settle first: wait
+  // until frames_sent holds still over an interval, parked.
+  ASSERT_TRUE(PollFor([&] {
+    uint64_t sent = server.stats().frames_sent;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Scheduler::Stats settled = scheduler.Snapshot();
+    return server.stats().frames_sent == sent &&
+           settled.credit_waiting == 1 && settled.contexts_attached == 0;
+  })) << "slow reader's socket never stopped taking frames";
+
   // Parked means parked: the state must hold while the reader stays
   // stalled, with server-side buffering bounded by the credit window
   // (W answer frames at most; +1 for a final that cannot exist yet).
@@ -422,6 +434,69 @@ TEST(NetServer, MidStreamDisconnectCancelsTask) {
       fresh->Query(Keywords(), Algorithm::kBidirectional, BaseOptions());
   EXPECT_EQ(result.status, SubscribeStatus::kCompleted);
   EXPECT_FALSE(result.answers.empty());
+}
+
+// ---- Request lifecycle: no idle timer, sinks outlive the server ----------
+
+TEST(NetServer, IdlePullStreamLeavesTheLoopAsleep) {
+  const Engine& engine = SharedEngine();
+  Server server(&engine);
+  ASSERT_TRUE(server.Start());
+  std::string error;
+  auto client = Client::Connect("127.0.0.1", server.port(), {}, &error);
+  ASSERT_NE(client, nullptr) << error;
+
+  // A pull stream with zero credits: its search finishes and parks in
+  // credit-wait, and no frame moves. An open request is no reason for
+  // the event loop to wake.
+  ClientStream stream =
+      client->OpenStream(Keywords(), Algorithm::kBidirectional, BaseOptions(),
+                         /*deadline_seconds=*/0, /*initial_credits=*/0);
+  ASSERT_TRUE(PollFor([&] {
+    return server.scheduler().Snapshot().credit_waiting == 1 &&
+           server.stats().requests_open == 1;
+  }));
+  const uint64_t wakeups = server.stats().loop_wakeups;
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_EQ(server.stats().loop_wakeups, wakeups)
+      << "the loop woke with nothing to do";
+
+  // Still live: a credit releases the next answer.
+  EXPECT_TRUE(stream.Next().has_value());
+}
+
+TEST(NetServer, RequestOutlivesDestroyedServer) {
+  const Engine& engine = SharedEngine();
+  // External manual-drive scheduler: the request's task cannot end until
+  // this test drives it, which it does only after the Server is gone.
+  SchedulerOptions scheduler_options;
+  scheduler_options.num_workers = 0;
+  Scheduler scheduler(scheduler_options);
+  {
+    ServerOptions server_options;
+    server_options.scheduler = &scheduler;
+    Server server(&engine, server_options);
+    ASSERT_TRUE(server.Start());
+    std::string error;
+    auto client = Client::Connect("127.0.0.1", server.port(), {}, &error);
+    ASSERT_NE(client, nullptr) << error;
+    ClientStream stream =
+        client->Subscribe(Keywords(), Algorithm::kBidirectional, BaseOptions());
+    ASSERT_TRUE(static_cast<bool>(stream));
+    ASSERT_TRUE(PollFor([&] { return server.stats().requests_open == 1; }));
+    client.reset();  // disconnect: the server cancels the open request
+    ASSERT_TRUE(PollFor([&] { return server.stats().connections_open == 0; }));
+    EXPECT_EQ(server.stats().requests_open, 1u);  // cancelled, not yet ended
+  }
+  // The Server is destroyed with the task still open. Driving it to its
+  // end runs the sink's terminal OnComplete, which must touch only state
+  // that outlived the Server.
+  while (scheduler.DriveOne()) {
+  }
+  Scheduler::Stats stats = scheduler.Snapshot();
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.runnable + stats.executing + stats.admission_queued, 0u);
+  EXPECT_EQ(scheduler.context_pool().leased(), 0u);
 }
 
 // ---- Malformed input ------------------------------------------------------

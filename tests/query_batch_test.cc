@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
-#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "banks/engine.h"
 #include "datasets/dblp_gen.h"
+#include "serve/queue_sink.h"
 
 namespace banks {
 namespace {
@@ -80,6 +82,12 @@ class QueryBatchTest : public ::testing::Test {
   static Engine* engine_;
 };
 
+SchedulerOptions Workers(size_t n) {
+  SchedulerOptions so;
+  so.num_workers = n;
+  return so;
+}
+
 Database* QueryBatchTest::db_ = nullptr;
 Engine* QueryBatchTest::engine_ = nullptr;
 
@@ -97,16 +105,17 @@ TEST_F(QueryBatchTest, MatchesSequentialForAllAlgorithmsAndThreadCounts) {
     for (const BatchQuerySpec& s : specs) {
       reference.push_back(engine_->Query(s.keywords, algorithm, options));
     }
-    for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      Scheduler scheduler(Workers(workers));
       BatchOptions bopt;
-      bopt.num_threads = threads;
+      bopt.scheduler = &scheduler;
       BatchResult batch =
           engine_->QueryBatch(specs, algorithm, options, bopt);
       ASSERT_EQ(batch.results.size(), specs.size())
-          << AlgorithmName(algorithm) << " threads=" << threads;
+          << AlgorithmName(algorithm) << " workers=" << workers;
       for (size_t i = 0; i < specs.size(); ++i) {
-        SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + " threads=" +
-                     std::to_string(threads) + " query=" + std::to_string(i));
+        SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + " workers=" +
+                     std::to_string(workers) + " query=" + std::to_string(i));
         ExpectSameResult(batch.results[i], reference[i]);
       }
       // Half the specs are duplicates and must have hit the cache.
@@ -123,7 +132,6 @@ TEST_F(QueryBatchTest, MatchesSequentialForAllAlgorithmsAndThreadCounts) {
         sum.budget_exhausted |= r.metrics.budget_exhausted;
       }
       ExpectSameCounters(batch.total, sum);
-      EXPECT_EQ(batch.answers_deduplicated, 0u);  // dedup off by default
     }
   }
 }
@@ -153,50 +161,6 @@ TEST_F(QueryBatchTest, PreResolvedOriginsSkipKeywordResolution) {
   EXPECT_EQ(from_origins.origin_cache_hits, 0u);
 }
 
-TEST_F(QueryBatchTest, DedupDropsCrossQueryDuplicateAnswers) {
-  std::vector<BatchQuerySpec> specs = MakeSpecs();
-  SearchOptions options;
-  options.k = 5;
-  BatchOptions bopt;
-  bopt.dedup_answers = true;
-  BatchResult batch =
-      engine_->QueryBatch(specs, Algorithm::kBackwardSI, options, bopt);
-
-  // Simulate the documented dedup contract on sequential results: an
-  // answer is dropped iff its Signature appeared in an earlier query of
-  // the batch (a query's own kept answers join the seen set afterwards).
-  std::set<uint64_t> seen;
-  size_t expected_removed = 0;
-  size_t expected_kept_total = 0;
-  ASSERT_EQ(batch.results.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    SearchResult solo =
-        engine_->Query(specs[i].keywords, Algorithm::kBackwardSI, options);
-    std::vector<const AnswerTree*> expected;
-    for (const AnswerTree& tree : solo.answers) {
-      if (seen.count(tree.Signature()) > 0) {
-        ++expected_removed;
-      } else {
-        expected.push_back(&tree);
-      }
-    }
-    for (const AnswerTree* tree : expected) seen.insert(tree->Signature());
-    expected_kept_total += expected.size();
-    ASSERT_EQ(batch.results[i].answers.size(), expected.size())
-        << "query " << i;
-    for (size_t j = 0; j < expected.size(); ++j) {
-      EXPECT_TRUE(SameAnswer(batch.results[i].answers[j], *expected[j]))
-          << "query " << i << " answer " << j;
-    }
-  }
-  EXPECT_EQ(batch.answers_deduplicated, expected_removed);
-  // Specs are pairwise-duplicated, so when queries answer at all, the
-  // duplicate copies' answers must have been shed.
-  if (expected_kept_total > 0) {
-    EXPECT_GT(expected_removed, 0u);
-  }
-}
-
 TEST_F(QueryBatchTest, EmptyBatchAndUnmatchedKeywords) {
   BatchResult empty = engine_->QueryBatch({}, Algorithm::kBidirectional);
   EXPECT_TRUE(empty.results.empty());
@@ -207,8 +171,9 @@ TEST_F(QueryBatchTest, EmptyBatchAndUnmatchedKeywords) {
   std::vector<BatchQuerySpec> specs(2);
   specs[0].keywords = {"qqqqzzzz", "author"};
   specs[1].keywords = {"author"};
+  Scheduler scheduler(Workers(4));  // more workers than queries is fine
   BatchOptions bopt;
-  bopt.num_threads = 4;  // more threads than queries must be fine
+  bopt.scheduler = &scheduler;
   BatchResult batch =
       engine_->QueryBatch(specs, Algorithm::kBackwardMI, {}, bopt);
   EXPECT_TRUE(batch.results[0].answers.empty());
@@ -219,12 +184,14 @@ TEST_F(QueryBatchTest, SharedPoolWarmAcrossBatches) {
   std::vector<BatchQuerySpec> specs = MakeSpecs();
   SearchOptions options;
   options.k = 5;
-  SearchContextPool pool;
+  Scheduler scheduler(Workers(2));
+  SearchContextPool& pool = scheduler.context_pool();
   BatchOptions bopt;
-  bopt.num_threads = 2;
-  bopt.pool = &pool;
+  bopt.scheduler = &scheduler;
   BatchResult first =
       engine_->QueryBatch(specs, Algorithm::kBidirectional, options, bopt);
+  // The batch keeps at most num_workers() tasks open, so at most that
+  // many contexts were ever leased at once.
   size_t contexts_after_first = pool.size();
   EXPECT_GE(contexts_after_first, 1u);
   EXPECT_LE(contexts_after_first, 2u);
@@ -244,11 +211,12 @@ TEST_F(QueryBatchTest, OnAnswerStreamsEveryAnswerInReleaseOrder) {
   std::vector<BatchQuerySpec> specs = MakeSpecs();
   SearchOptions options;
   options.k = 5;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    Scheduler scheduler(Workers(workers));
     std::mutex mu;
     std::vector<std::vector<AnswerTree>> streamed(specs.size());
     BatchOptions bopt;
-    bopt.num_threads = threads;
+    bopt.scheduler = &scheduler;
     bopt.on_answer = [&](size_t query_index, const AnswerTree& answer) {
       std::lock_guard<std::mutex> lock(mu);
       streamed[query_index].push_back(answer);  // copy: ref dies after call
@@ -258,7 +226,7 @@ TEST_F(QueryBatchTest, OnAnswerStreamsEveryAnswerInReleaseOrder) {
     // Per query, the streamed sequence is exactly the final result — the
     // callback fires in release order, which IS output order.
     for (size_t i = 0; i < specs.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " query=" +
+      SCOPED_TRACE("workers=" + std::to_string(workers) + " query=" +
                    std::to_string(i));
       ASSERT_EQ(streamed[i].size(), batch.results[i].answers.size());
       for (size_t j = 0; j < streamed[i].size(); ++j) {
@@ -275,6 +243,100 @@ TEST_F(QueryBatchTest, OnAnswerStreamsEveryAnswerInReleaseOrder) {
       ExpectSameResult(batch.results[i], reference[i]);
     }
   }
+}
+
+TEST_F(QueryBatchTest, AdmissionLimitsNeverFailTheBatch) {
+  // One run slot and no queue: most submissions are rejected. Two
+  // batches compete for the slot, so a batch sees rejections both with
+  // its own task open (wait and retry) and with none open (run inline).
+  // Every result must still equal the sequential one.
+  std::vector<BatchQuerySpec> specs = MakeSpecs();
+  SearchOptions options;
+  options.k = 5;
+  std::vector<SearchResult> reference;
+  for (const BatchQuerySpec& s : specs) {
+    reference.push_back(
+        engine_->Query(s.keywords, Algorithm::kBackwardSI, options));
+  }
+  SchedulerOptions so = Workers(2);
+  so.max_running = 1;
+  so.max_queued = 0;
+  Scheduler scheduler(so);
+  BatchOptions bopt;
+  bopt.scheduler = &scheduler;
+  std::vector<BatchResult> batches(2);
+  std::vector<std::thread> threads;
+  for (BatchResult& out : batches) {
+    threads.emplace_back([&] {
+      out = engine_->QueryBatch(specs, Algorithm::kBackwardSI, options, bopt);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const BatchResult& batch : batches) {
+    ASSERT_EQ(batch.results.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("query=" + std::to_string(i));
+      ExpectSameResult(batch.results[i], reference[i]);
+    }
+  }
+  EXPECT_GT(scheduler.Snapshot().rejected, 0u);
+  EXPECT_EQ(scheduler.context_pool().leased(), 0u);
+}
+
+TEST_F(QueryBatchTest, RejectedWithNoTaskOpenRunsInline) {
+  // Another subscriber holds the only run slot for the whole batch: an
+  // exhaustive MI search over the type-name keywords, which runs for
+  // seconds. Every batch submission is rejected with none of the
+  // batch's tasks open, so every query runs inline on this thread.
+  SchedulerOptions so = Workers(1);
+  so.max_running = 1;
+  so.max_queued = 0;
+  Scheduler scheduler(so);
+  QueueSink holder_sink;
+  SubscribeOptions subscribe;
+  subscribe.scheduler = &scheduler;
+  SearchOptions holder_options;
+  holder_options.k = 4;
+  Subscription holder = engine_->Subscribe(
+      {"paper", "conference"}, Algorithm::kBackwardMI, &holder_sink,
+      holder_options, subscribe);
+  ASSERT_EQ(holder.admission(), AdmissionState::kAdmitted);
+
+  std::vector<BatchQuerySpec> specs = MakeSpecs();
+  SearchOptions options;
+  options.k = 5;
+  std::mutex mu;
+  std::vector<size_t> streamed(specs.size(), 0);
+  BatchOptions bopt;
+  bopt.scheduler = &scheduler;
+  bopt.on_answer = [&](size_t query_index, const AnswerTree&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++streamed[query_index];
+  };
+  BatchResult batch =
+      engine_->QueryBatch(specs, Algorithm::kBackwardSI, options, bopt);
+  EXPECT_FALSE(holder.finished()) << "the holder let go of the slot early";
+  EXPECT_GE(scheduler.Snapshot().rejected, specs.size());
+  ASSERT_EQ(batch.results.size(), specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("query=" + std::to_string(i));
+    ExpectSameResult(batch.results[i],
+                     engine_->Query(specs[i].keywords, Algorithm::kBackwardSI,
+                                    options));
+    EXPECT_EQ(streamed[i], batch.results[i].answers.size());
+  }
+  holder.Cancel();
+  EXPECT_EQ(holder.Wait(), SubscribeStatus::kCancelled);
+}
+
+TEST_F(QueryBatchTest, ManualDriveSchedulerIsRejected) {
+  // Nothing would run the tasks the calling thread waits on.
+  Scheduler scheduler(Workers(0));
+  BatchOptions bopt;
+  bopt.scheduler = &scheduler;
+  EXPECT_THROW(engine_->QueryBatch(MakeSpecs(), Algorithm::kBidirectional, {},
+                                   bopt),
+               std::invalid_argument);
 }
 
 }  // namespace

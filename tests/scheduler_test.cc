@@ -573,8 +573,9 @@ TEST_F(ServeEngineTest, SubscribeMatchesQuery) {
 }
 
 TEST_F(ServeEngineTest, ScheduledStreamMatchesInlineStream) {
-  // The pull stream re-expressed over the serving core: same cursor
-  // API, a Subscription + QueueSink underneath, identical sequence.
+  // Pulling over the serving core: a Subscription delivering into a
+  // QueueSink, popped one answer at a time, yields the inline stream's
+  // sequence (which is the drained Query's, by the streaming contract).
   SearchResult reference =
       engine_->Query(Keywords(), Algorithm::kBidirectional, Options());
   ASSERT_FALSE(reference.answers.empty());
@@ -583,22 +584,22 @@ TEST_F(ServeEngineTest, ScheduledStreamMatchesInlineStream) {
   so.num_workers = 1;
   so.quantum_steps = 16;
   Scheduler scheduler(so);
-  StreamOptions stream_options;
-  stream_options.scheduler = &scheduler;
-  AnswerStream stream = engine_->OpenQuery(Keywords(),
-                                           Algorithm::kBidirectional,
-                                           Options(), stream_options);
+  QueueSink sink;
+  SubscribeOptions subscribe;
+  subscribe.scheduler = &scheduler;
+  Subscription sub = engine_->Subscribe(Keywords(), Algorithm::kBidirectional,
+                                        &sink, Options(), subscribe);
   size_t pulled = 0;
-  while (auto answer = stream.Next()) {
+  while (auto answer = sink.Pop()) {
     ASSERT_LT(pulled, reference.answers.size());
     EXPECT_TRUE(SameAnswer(*answer, reference.answers[pulled])) << pulled;
     ++pulled;
   }
   EXPECT_EQ(pulled, reference.answers.size());
-  EXPECT_TRUE(stream.done());
-  EXPECT_FALSE(stream.hit_limit());
-  EXPECT_EQ(stream.answers_pulled(), reference.answers.size());
-  ExpectSameDeterministicMetrics(stream.metrics(), reference.metrics);
+  EXPECT_TRUE(sink.exhausted());
+  EXPECT_EQ(sub.Wait(), SubscribeStatus::kCompleted);
+  EXPECT_EQ(sub.answers_delivered(), reference.answers.size());
+  ExpectSameDeterministicMetrics(sink.final_metrics(), reference.metrics);
 }
 
 TEST_F(ServeEngineTest, AbandonedScheduledStreamCancelsItsSubscription) {
@@ -606,14 +607,21 @@ TEST_F(ServeEngineTest, AbandonedScheduledStreamCancelsItsSubscription) {
   so.num_workers = 1;
   so.quantum_steps = 8;
   Scheduler scheduler(so);
-  StreamOptions stream_options;
-  stream_options.scheduler = &scheduler;
   {
-    AnswerStream stream = engine_->OpenQuery(Keywords(),
-                                             Algorithm::kBidirectional,
-                                             Options(), stream_options);
-    (void)stream.Next();  // pull one answer, then abandon
-  }  // destructor must cancel + wait out the subscription: no leak, no hang
+    QueueSink sink;
+    SubscribeOptions subscribe;
+    subscribe.scheduler = &scheduler;
+    Subscription sub = engine_->Subscribe(
+        Keywords(), Algorithm::kBidirectional, &sink, Options(), subscribe);
+    (void)sink.Pop();  // pull one answer, then abandon
+    // The consumer's side of abandoning: cancel, then wait out the
+    // terminal push before the sink goes away. No leak, no hang.
+    sub.Cancel();
+    SubscribeStatus status = sub.Wait();
+    EXPECT_TRUE(status == SubscribeStatus::kCancelled ||
+                status == SubscribeStatus::kCompleted)
+        << SubscribeStatusName(status);
+  }
   Scheduler::Stats stats = scheduler.Snapshot();
   EXPECT_EQ(stats.runnable + stats.executing + stats.credit_waiting +
                 stats.admission_queued,
