@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,7 +10,6 @@
 
 #include "prestige/pagerank.h"
 #include "relational/graph_builder.h"
-#include "search/answer_cache.h"
 #include "search/answer_stream.h"
 #include "search/context_pool.h"
 #include "search/searcher.h"
@@ -64,70 +62,6 @@ struct UpdateBatch {
   bool empty() const { return nodes.empty() && edges.empty() && texts.empty(); }
 };
 
-/// One query of a batch: keywords to resolve through the engine's index,
-/// or pre-resolved origin sets (benchmarks resolve once up front). When
-/// `origins` is non-empty it wins and `keywords` is ignored.
-struct BatchQuerySpec {
-  std::vector<std::string> keywords;
-  std::vector<std::vector<NodeId>> origins;
-};
-
-/// Execution knobs for Engine::QueryBatch.
-struct BatchOptions {
-  /// Scheduler the batch's queries run on, one task per uncached query;
-  /// null uses the process-wide Scheduler::Default(). The batch keeps
-  /// about num_workers() of its own tasks open at a time and leases
-  /// contexts from the scheduler's context_pool(), so batches on one
-  /// scheduler reuse warm contexts. A manual-drive scheduler
-  /// (num_workers = 0) is rejected with std::invalid_argument: nothing
-  /// would run the tasks the calling thread waits on. The worker count
-  /// never changes results: queries are independent and results are
-  /// returned in input order.
-  Scheduler* scheduler = nullptr;
-
-  /// Streaming delivery: when set, invoked for every answer of every
-  /// query *in release order* while its search is still running
-  /// (query_index is the spec's input position; the reference is only
-  /// valid during the call). Runs on the scheduler worker delivering
-  /// that query's answers (on the calling thread for a query run
-  /// inline), so it must be thread-safe; answers of one query arrive in
-  /// order, answers of different queries interleave.
-  /// Answers still land in BatchResult::results, and the sequence per
-  /// query is identical to the non-streaming run's. Cache-served
-  /// queries (answer_cache) replay their answers through the callback
-  /// on the calling thread before any search starts.
-  std::function<void(size_t query_index, const AnswerTree& answer)> on_answer;
-
-  /// Opt-in result cache shared across batches: keyword-spec queries
-  /// whose signature (normalized keywords, algorithm, options
-  /// fingerprint) has a live entry skip resolution and the whole
-  /// search, and every executed keyword query stores its result for
-  /// later batches. Pre-resolved origin specs bypass the cache. Serving
-  /// from the cache is stale-tolerant by definition (up to the cache's
-  /// TTL) — leave null for always-fresh results. The cache may be
-  /// shared by concurrent batches.
-  AnswerCache* answer_cache = nullptr;
-};
-
-/// Result of Engine::QueryBatch.
-struct BatchResult {
-  /// Per-query results, in input order.
-  std::vector<SearchResult> results;
-
-  /// Work counters summed over the batch. elapsed_seconds is the sum of
-  /// per-query times (≈ CPU time across workers, not wall clock); the
-  /// per-answer time vectors are left empty.
-  SearchMetrics total;
-
-  /// Queries whose keyword set was already resolved earlier in this
-  /// batch and skipped the index lookups.
-  size_t origin_cache_hits = 0;
-
-  /// Queries served from BatchOptions::answer_cache without searching.
-  /// (Served results keep the metrics of the run that produced them.)
-  size_t answer_cache_hits = 0;
-};
-
 /// The top-level BANKS engine: data graph + inverted keyword index +
 /// precomputed node prestige, answering keyword queries with any of the
 /// three algorithms. This is the facade a downstream user works with:
@@ -149,7 +83,13 @@ struct BatchResult {
 ///
 /// Query is OpenQuery(...).Drain() — same state machine, run in one
 /// slice — so streamed and drained results are identical prefix by
-/// prefix.
+/// prefix. Query and OpenQuery run on the caller's thread; they are the
+/// reference the serving path is checked against.
+///
+/// Subscribe is the one concurrent entry: each call is a task on the
+/// serving core (docs/SERVING.md) that pushes the same answer sequence
+/// into a sink. A caller with many queries in flight submits one
+/// Subscribe per query, each into its own sink, and Waits on them all.
 ///
 /// Node prestige is computed once at construction (§2.3: "node prestige
 /// scores can be assumed to be precomputed").
@@ -193,11 +133,12 @@ class Engine {
 
   /// Opens a resumable search and returns its pull cursor: resolve +
   /// begin, but no expansion work happens until the first Next()/
-  /// Drain(). Context precedence: explicit `context` (borrowed; must
-  /// outlive the stream) > StreamOptions::pool (leased, returned by the
-  /// stream's RAII cleanup) > a stream-private context. Pass a warm
-  /// context or a shared pool when opening streams in a loop — streaming
-  /// adds no steady-state allocations beyond the per-answer handoff.
+  /// Drain(). The stream borrows an explicit `context` (which must
+  /// outlive it) or else owns a private one. Pass a warm context when
+  /// opening streams in a loop — from a SearchContextPool lease the
+  /// caller keeps alive, if several threads share contexts — and
+  /// streaming adds no steady-state allocations beyond the per-answer
+  /// handoff.
   ///
   /// The answer sequence pulled from the stream is identical, prefix by
   /// prefix, to the drained Query result for the same arguments, at
@@ -249,27 +190,6 @@ class Engine {
                                  const SearchOptions& options = {},
                                  const SubscribeOptions& subscribe = {}) const;
 
-  /// Executes a batch of independent queries as tasks on the serving
-  /// core, returning results in input order.
-  ///
-  /// The batch path amortizes what a loop of Query calls cannot:
-  ///  * every query runs on the batch's one snapshot, spread over the
-  ///    scheduler's workers (BatchOptions::scheduler);
-  ///  * contexts come from the scheduler's SearchContextPool, so the
-  ///    workers reuse warm contexts instead of allocating fresh state;
-  ///  * keyword resolution is cached batch-wide — duplicate keyword
-  ///    sets skip the inverted-index lookups entirely.
-  ///
-  /// Admission limits never fail a batch: a rejected submission is
-  /// retried when one of the batch's own tasks finishes, and runs inline
-  /// on the calling thread when the batch has none open.
-  /// results[i] is byte-identical to Query(specs[i].keywords, ...)
-  /// modulo timing fields, at any worker count.
-  BatchResult QueryBatch(const std::vector<BatchQuerySpec>& specs,
-                         Algorithm algorithm,
-                         const SearchOptions& options = {},
-                         const BatchOptions& batch = {}) const;
-
   /// Applies one append-only update batch and publishes it as a new
   /// epoch; returns the new epoch number. Atomic for readers: a query
   /// opened before this returns reads the prior snapshot in full, one
@@ -277,23 +197,17 @@ class Engine {
   /// serialize (one writer at a time); readers never block the writer
   /// or each other.
   ///
-  /// When `cache` is non-null, entries whose keywords the batch touched
-  /// are invalidated after the publish — the cross-epoch half of cache
-  /// correctness (the structure epoch folded into cache keys is the
-  /// other half; see AnswerCacheKey).
-  ///
   /// Throws std::invalid_argument, publishing nothing and leaving
   /// epoch() unchanged, when the batch is malformed: an edge endpoint
   /// or a texts[i].node at or beyond the post-update node count, an
   /// edge weight that is not a positive finite float, or a batch whose
   /// rebuilt adjacency would overflow the 32-bit delta-run offsets.
-  uint64_t ApplyUpdate(const UpdateBatch& batch,
-                       AnswerCache* cache = nullptr);
+  uint64_t ApplyUpdate(const UpdateBatch& batch);
 
   /// Epoch of the current snapshot: total ApplyUpdate publishes.
   uint64_t epoch() const { return SnapshotNow()->epoch; }
   /// Structure epoch: bumped only by batches that add nodes or edges
-  /// (not by posting-only updates). This is what cache keys fold in.
+  /// (not by posting-only updates).
   uint64_t structure_epoch() const { return SnapshotNow()->structure_epoch; }
 
   /// Direct views of the CURRENT snapshot's state, for quiescent use
@@ -343,6 +257,7 @@ class Engine {
   /// keyword query resolves and searches the same epoch.
   static std::vector<std::vector<NodeId>> ResolveOn(
       const Snapshot& snap, const std::vector<std::string>& keywords);
+  static const std::string& LabelOn(const Snapshot& snap, NodeId node);
   Subscription SubscribeOn(std::shared_ptr<const Snapshot> snap,
                            std::vector<std::vector<NodeId>> origins,
                            Algorithm algorithm, AnswerSink* sink,

@@ -24,8 +24,6 @@ AnswerStream::AnswerStream(
       epoch_pin_(std::move(epoch_pin)) {
   if (context != nullptr) {
     external_ = context;
-  } else if (options_.pool != nullptr) {
-    lease_ = options_.pool->Acquire();
   } else {
     owned_ctx_ = std::make_unique<SearchContext>();
   }
@@ -39,7 +37,6 @@ AnswerStream::AnswerStream(AnswerStream&& other) noexcept
       borrowed_origins_(std::exchange(other.borrowed_origins_, nullptr)),
       options_(other.options_),
       external_(std::exchange(other.external_, nullptr)),
-      lease_(std::move(other.lease_)),
       owned_ctx_(std::move(other.owned_ctx_)),
       pulled_(std::exchange(other.pulled_, 0)),
       finished_(std::exchange(other.finished_, true)),
@@ -55,7 +52,6 @@ AnswerStream& AnswerStream::operator=(AnswerStream&& other) noexcept {
     borrowed_origins_ = std::exchange(other.borrowed_origins_, nullptr);
     options_ = other.options_;
     external_ = std::exchange(other.external_, nullptr);
-    lease_ = std::move(other.lease_);
     owned_ctx_ = std::move(other.owned_ctx_);
     pulled_ = std::exchange(other.pulled_, 0);
     finished_ = std::exchange(other.finished_, true);
@@ -68,7 +64,6 @@ AnswerStream& AnswerStream::operator=(AnswerStream&& other) noexcept {
 
 SearchContext* AnswerStream::context() const {
   if (external_ != nullptr) return external_;
-  if (lease_) return lease_.get();
   return owned_ctx_.get();
 }
 
@@ -137,13 +132,11 @@ void AnswerStream::Cancel() {
   SearchContext* ctx = context();
   if (ctx != nullptr) {
     metrics_snapshot_ = ctx->stream.result.metrics;
-    // Leave the context ready for its next query and hand it back now
-    // (pooled leases return to the pool without waiting for the stream
-    // destructor). Abandoned partial state is scratch; Reset clears it.
+    // Leave the context ready for its next query. Abandoned partial
+    // state is scratch; Reset clears it.
     ctx->stream.Reset();
   }
   external_ = nullptr;
-  lease_.Reset();
   owned_ctx_.reset();
   epoch_pin_.Release();
   pulled_ = 0;

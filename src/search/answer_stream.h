@@ -5,7 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "search/context_pool.h"
+#include "search/search_context.h"
 #include "search/epoch.h"
 #include "search/searcher.h"
 
@@ -22,12 +22,6 @@ struct StreamOptions {
   /// Node-expansion budget per Next() call, same pause semantics as the
   /// deadline. 0 = unlimited.
   uint64_t step_budget = 0;
-
-  /// Pool to lease the stream's SearchContext from when the caller does
-  /// not pass an explicit context; the lease is returned by the stream's
-  /// destructor (or an early Cancel), so pooled streams are RAII-clean.
-  /// nullptr makes the stream own a private (cold) context instead.
-  SearchContextPool* pool = nullptr;
 };
 
 /// Pull-based cursor over one running search — the paper's incremental
@@ -45,9 +39,10 @@ struct StreamOptions {
 /// search.
 ///
 /// Lifecycle: obtained from Engine::OpenQuery/OpenQueryResolved;
-/// move-only. The stream borrows or owns a SearchContext (explicit
-/// caller context > StreamOptions::pool lease > private context) and
-/// RAII-releases it on destruction. A stream abandoned after n pulls
+/// move-only. The stream borrows the caller's SearchContext or, when
+/// given none, owns a private one. A caller that wants a pooled context
+/// passes SearchContextPool::Acquire().get() and keeps the lease alive
+/// past the stream. A stream abandoned after n pulls
 /// leaves its context warm and fully reusable — the next query on it
 /// resets the partial search.
 ///
@@ -81,9 +76,10 @@ class AnswerStream {
   /// run-to-completion query.
   SearchResult Drain();
 
-  /// Abandons the search: drops any buffered answers, releases the
-  /// context (returning a pooled lease immediately), and makes every
-  /// later Next() return nullopt. Metrics-so-far stay readable.
+  /// Abandons the search: drops any buffered answers, lets go of the
+  /// context (a borrowed one is left reset for its next query), and
+  /// makes every later Next() return nullopt. Metrics-so-far stay
+  /// readable.
   void Cancel();
 
   /// True once no further answer can come: the search completed and all
@@ -108,8 +104,7 @@ class AnswerStream {
 
   /// Engine-internal form: `origins` may be borrowed (non-null
   /// `borrowed_origins` wins over the owned vector), which lets the
-  /// drained Query path skip copying the caller's origin sets. `pool`
-  /// (when non-null and `context` is null) supplies a leased context.
+  /// drained Query path skip copying the caller's origin sets.
   /// `epoch_pin` keeps the engine snapshot the searcher reads alive
   /// until the stream's terminal transition (done, drained, cancelled,
   /// IO error).
@@ -133,7 +128,6 @@ class AnswerStream {
   StreamOptions options_;
 
   SearchContext* external_ = nullptr;         // caller-provided context
-  SearchContextPool::Lease lease_;            // pooled context
   std::unique_ptr<SearchContext> owned_ctx_;  // private context
 
   size_t pulled_ = 0;

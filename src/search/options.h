@@ -71,22 +71,6 @@ struct SearchOptions {
   uint64_t release_patience = 512;
 };
 
-/// Canonical 64-bit fingerprint (FNV-1a) over every field of the
-/// options: k, dmax, lambda, mu, combine, bound, edge_filter, the two
-/// budgets, bound_check_interval and release_patience — all of them
-/// affect results. Floating fields hash by bit pattern: -0.0 vs 0.0 (or
-/// two NaN payloads) count as different options, which errs on the side
-/// of never aliasing two configurations that could differ.
-///
-/// This is the options half of the AnswerCache key; equal fingerprints
-/// from distinct option sets are possible in principle (64-bit hash) but
-/// SameResultOptions gives the exact predicate when needed.
-uint64_t OptionsFingerprint(const SearchOptions& options);
-
-/// Exact field-wise equality over the same field set that
-/// OptionsFingerprint hashes.
-bool SameResultOptions(const SearchOptions& a, const SearchOptions& b);
-
 }  // namespace banks
 
 #endif  // BANKS_SEARCH_OPTIONS_H_

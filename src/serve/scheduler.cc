@@ -506,6 +506,9 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
     t.search_done = status == SearchStatus::kDone;
     page_faulted = status == SearchStatus::kPageWait;
     io_failed = status == SearchStatus::kIoError;
+    // Every page-fault quantum counts, parked or not: the same event
+    // the search's own SearchMetrics::page_waits counts.
+    if (page_faulted) ++counters_.page_waits;
   }
   DeliverLocked(lock, task);
   // Post-quantum decision. Deadline/cancel win over completion so the
@@ -541,7 +544,6 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
       // worker. FaultWaiter::OnPageReady requeues the task when the
       // last pending page lands.
       t.phase = Task::Phase::kPageWait;
-      ++counters_.page_waits;
     }
   } else if (t.search_done) {
     size_t total = (t.detached ? t.state : t.lease->stream).result.answers.size();

@@ -57,9 +57,9 @@ struct SchedulerOptions {
 
   /// Context pool run slots draw from; null makes the scheduler own a
   /// private pool. Every task on this scheduler leases from it —
-  /// subscriptions, wire requests and QueryBatch queries alike — so
-  /// they all keep one set of contexts warm. A caller-owned pool must
-  /// outlive the scheduler.
+  /// in-process subscriptions and wire requests alike — so they all
+  /// keep one set of contexts warm. A caller-owned pool must outlive the
+  /// scheduler.
   SearchContextPool* context_pool = nullptr;
 };
 
@@ -234,7 +234,7 @@ class Scheduler {
     uint64_t completed = 0;
     uint64_t deadline_expired = 0;
     uint64_t cancelled = 0;
-    uint64_t page_waits = 0;  // quanta that ended parked on a page fetch
+    uint64_t page_waits = 0;  // quanta that ended on a page fault (kPageWait)
     uint64_t io_errors = 0;   // tasks finished kIoError (failed page read)
     std::vector<TenantStats> tenants;  // sorted by tenant name
   };

@@ -169,8 +169,7 @@ std::vector<NodeId> InvertedIndex::Match(std::string_view keyword) const {
 
 InvertedIndex ApplyIndexDelta(
     std::shared_ptr<const InvertedIndex> base,
-    const std::vector<std::pair<NodeId, std::string>>& docs,
-    std::vector<std::string>* touched_terms) {
+    const std::vector<std::pair<NodeId, std::string>>& docs) {
   assert(base != nullptr && base->frozen());
   const InvertedIndex& prev = *base;
 
@@ -187,8 +186,7 @@ InvertedIndex ApplyIndexDelta(
     next.base_ = base;
   }
 
-  // Group this batch's node ids per folded term. std::map keeps the
-  // touched-term output deterministic.
+  // Group this batch's node ids per folded term.
   std::map<std::string, std::vector<NodeId>> additions;
   for (const auto& [node, text] : docs) {
     for (const std::string& token : next.tokenizer_.Tokenize(text)) {
@@ -210,7 +208,6 @@ InvertedIndex ApplyIndexDelta(
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
     next.delta_postings_[term] = std::move(merged);
-    if (touched_terms != nullptr) touched_terms->push_back(term);
   }
   return next;
 }

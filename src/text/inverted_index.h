@@ -114,8 +114,7 @@ class InvertedIndex {
   friend class PagedStore;
   friend InvertedIndex ApplyIndexDelta(
       std::shared_ptr<const InvertedIndex> base,
-      const std::vector<std::pair<NodeId, std::string>>& docs,
-      std::vector<std::string>* touched_terms);
+      const std::vector<std::pair<NodeId, std::string>>& docs);
 
   struct PostingRun {
     PageRunRef ref;
@@ -161,15 +160,11 @@ class InvertedIndex {
 /// unchanged (v1 has no relation growth; register all relations before
 /// the first update).
 ///
-/// Every touched folded term is appended to `touched_terms` (sorted,
-/// unique) — the AnswerCache invalidation set for this update.
-///
 /// The caller keeps `base` alive through the overlay's lifetime; Engine
 /// does this by holding epoch snapshots in shared_ptrs.
 InvertedIndex ApplyIndexDelta(
     std::shared_ptr<const InvertedIndex> base,
-    const std::vector<std::pair<NodeId, std::string>>& docs,
-    std::vector<std::string>* touched_terms);
+    const std::vector<std::pair<NodeId, std::string>>& docs);
 
 }  // namespace banks
 

@@ -312,52 +312,6 @@ TEST_P(AnswerStreamSweep, UnmatchedKeywordMeansEmptyStream) {
   EXPECT_EQ(stream.Drain().answers.size(), 0u);
 }
 
-// ---- Pool-leased streams --------------------------------------------------
-
-TEST(AnswerStreamPool, LeaseReturnsOnDestructionAndNeverGrows) {
-  Graph graph = MakeRandomGraph(150, 600, 11);
-  std::vector<double> prestige = UniformPrestige(graph.num_nodes());
-  SearchOptions options;
-  options.k = 4;
-  auto searcher =
-      CreateSearcher(Algorithm::kBidirectional, graph, prestige, options);
-  std::vector<std::vector<NodeId>> origins = {{0, 1}, {2, 3}};
-  SearchResult reference = searcher->Search(origins);
-
-  SearchContextPool pool;
-  StreamOptions stream_options;
-  stream_options.pool = &pool;
-  for (int round = 0; round < 3; ++round) {
-    AnswerStream stream(searcher.get(), origins, stream_options, nullptr);
-    std::vector<AnswerTree> pulled;
-    while (auto answer = stream.Next()) pulled.push_back(std::move(*answer));
-    ExpectSameAnswers(pulled, reference.answers, reference.answers.size());
-    EXPECT_EQ(pool.available(), 0u);  // leased while the stream lives
-  }
-  EXPECT_EQ(pool.size(), 1u);  // one context served all rounds
-  EXPECT_EQ(pool.available(), 1u);
-}
-
-TEST(AnswerStreamPool, CancelReturnsLeaseImmediately) {
-  Graph graph = MakeRandomGraph(150, 600, 11);
-  std::vector<double> prestige = UniformPrestige(graph.num_nodes());
-  SearchOptions options;
-  options.k = 4;
-  auto searcher =
-      CreateSearcher(Algorithm::kBackwardSI, graph, prestige, options);
-  std::vector<std::vector<NodeId>> origins = {{0, 1}, {2, 3}};
-
-  SearchContextPool pool;
-  StreamOptions stream_options;
-  stream_options.pool = &pool;
-  AnswerStream stream(searcher.get(), origins, stream_options, nullptr);
-  (void)stream.Next();
-  EXPECT_EQ(pool.available(), 0u);
-  stream.Cancel();
-  EXPECT_EQ(pool.available(), pool.size());  // back before destruction
-  EXPECT_EQ(pool.size(), 1u);
-}
-
 // ---- Engine front door ----------------------------------------------------
 
 class AnswerStreamEngineTest : public ::testing::Test {
@@ -419,9 +373,10 @@ TEST_F(AnswerStreamEngineTest, OpenQueryResolvedWithWarmContext) {
   }
 }
 
-// Concurrent streams over one shared pool: every thread's pulled
-// sequence must equal the sequential reference, and the pool must not
-// grow past the thread count. This test is part of the TSan CI suite.
+// Concurrent streams over one shared pool: each thread leases a context
+// per stream and lends it to the stream, every thread's pulled sequence
+// must equal the sequential reference, and the pool must not grow past
+// the thread count. This test is part of the TSan CI suite.
 TEST_F(AnswerStreamEngineTest, ConcurrentStreamsOverOnePool) {
   const std::vector<std::vector<std::string>> queries = {
       {"paper", "author"}, {"writes", "conference"}, {"paper", "cites"}};
@@ -436,8 +391,6 @@ TEST_F(AnswerStreamEngineTest, ConcurrentStreamsOverOnePool) {
   }
 
   SearchContextPool pool;
-  StreamOptions stream_options;
-  stream_options.pool = &pool;
   constexpr int kThreads = 4;
   constexpr int kRounds = 6;
   std::vector<std::thread> threads;
@@ -447,8 +400,10 @@ TEST_F(AnswerStreamEngineTest, ConcurrentStreamsOverOnePool) {
     threads.emplace_back([&, t]() {
       for (int round = 0; round < kRounds; ++round) {
         size_t qi = static_cast<size_t>(t + round) % queries.size();
-        AnswerStream stream = engine_->OpenQuery(
-            queries[qi], Algorithm::kBackwardSI, options, stream_options);
+        SearchContextPool::Lease context = pool.Acquire();
+        AnswerStream stream =
+            engine_->OpenQuery(queries[qi], Algorithm::kBackwardSI, options,
+                               StreamOptions{}, context.get());
         std::vector<AnswerTree> pulled;
         while (auto answer = stream.Next()) {
           pulled.push_back(std::move(*answer));

@@ -30,6 +30,7 @@
 #include "prestige/pagerank.h"
 #include "search/answer_stream.h"
 #include "search/context_pool.h"
+#include "serve/queue_sink.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -428,11 +429,12 @@ TEST_P(ShardedStreaming, StepBudgetOnePrefixIdenticalAcrossShardCounts) {
   }
 }
 
-// ---- Mixed stress: streams + batches over one pool ------------------------
-// Two threads pull inline streams while two threads run QueryBatches on
-// one scheduler, all drawing scratch contexts from the scheduler's
-// SearchContextPool. Every result must match its lone reference, and
-// after the storm the pool must be fully idle (every lease returned).
+// ---- Mixed stress: streams + subscriptions over one pool ------------------
+// Two threads pull inline streams on contexts they lease from the
+// scheduler's SearchContextPool, while two threads each subscribe a batch
+// of three queries to that scheduler and wait for them all. Every result
+// must match its lone reference, and after the storm the pool must be
+// fully idle (every lease returned).
 
 TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   DblpConfig config;
@@ -466,6 +468,9 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
 
   SchedulerOptions scheduler_options;
   scheduler_options.num_workers = 2;
+  // Four run slots for six subscriptions: the rest wait in the admission
+  // queue holding no context, which bounds the pool's high-water mark.
+  scheduler_options.max_running = 4;
   Scheduler scheduler(scheduler_options);
   SearchContextPool& ctx_pool = scheduler.context_pool();
   std::atomic<size_t> mismatches{0};
@@ -482,10 +487,11 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   auto stream_thread = [&] {
     StreamOptions stream_options;
     stream_options.step_budget = 16;
-    stream_options.pool = &ctx_pool;
     for (size_t round = 0; round < kRounds; ++round) {
-      AnswerStream stream = engine.OpenQueryResolved(
-          stream_origins, Algorithm::kBidirectional, options, stream_options);
+      SearchContextPool::Lease context = ctx_pool.Acquire();
+      AnswerStream stream =
+          engine.OpenQueryResolved(stream_origins, Algorithm::kBidirectional,
+                                   options, stream_options, context.get());
       std::vector<AnswerTree> pulled;
       while (!stream.done()) {
         auto answer = stream.Next();
@@ -504,25 +510,26 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   };
 
   auto batch_thread = [&] {
-    std::vector<BatchQuerySpec> specs;
-    for (const auto& origins : batch_origins) {
-      BatchQuerySpec spec;
-      spec.origins = origins;
-      specs.push_back(spec);
-    }
-    BatchOptions batch;
-    batch.scheduler = &scheduler;
+    SubscribeOptions subscribe;
+    subscribe.scheduler = &scheduler;
     for (size_t round = 0; round < kRounds; ++round) {
-      BatchResult result =
-          engine.QueryBatch(specs, Algorithm::kBidirectional, options, batch);
-      if (result.results.size() != batch_reference.size()) {
-        mismatches.fetch_add(1);
-        continue;
+      std::vector<QueueSink> sinks(batch_origins.size());
+      std::vector<Subscription> subs;
+      for (size_t i = 0; i < batch_origins.size(); ++i) {
+        subs.push_back(engine.SubscribeResolved(batch_origins[i],
+                                                Algorithm::kBidirectional,
+                                                &sinks[i], options, subscribe));
       }
-      for (size_t i = 0; i < result.results.size(); ++i) {
-        if (!same_result(result.results[i], batch_reference[i])) {
+      for (size_t i = 0; i < subs.size(); ++i) {
+        SearchResult got;
+        if (subs[i].Wait() != SubscribeStatus::kCompleted) {
           mismatches.fetch_add(1);
+          continue;
         }
+        AnswerTree answer;
+        while (sinks[i].TryPop(&answer)) got.answers.push_back(answer);
+        got.metrics = sinks[i].final_metrics();
+        if (!same_result(got, batch_reference[i])) mismatches.fetch_add(1);
       }
     }
   };
@@ -537,8 +544,7 @@ TEST(ShardedMixedStress, StreamsAndBatchesShareOnePoolPair) {
   EXPECT_EQ(mismatches.load(), 0u);
   // Every lease returned: the pool is fully idle.
   EXPECT_EQ(ctx_pool.available(), ctx_pool.size());
-  // High-water: ≤ 2 streams plus ≤ 2 batches × 2 open tasks (a batch
-  // keeps at most num_workers() of its tasks open).
+  // High-water: ≤ 2 stream leases plus ≤ 4 run slots.
   EXPECT_LE(ctx_pool.size(), 6u);
   EXPECT_GT(ctx_pool.acquires(), 0u);
 }

@@ -4,8 +4,8 @@
 // under search to a fresh-built engine of the same logical state —
 // ARCHITECTURE.md contract 4 — at every algorithm × bound mode, over a
 // resident base and over a paged one. Plus: snapshot isolation for
-// streams and subscriptions racing with updates, answer-cache
-// correctness across epochs, the paged-file fault-injection path
+// streams and subscriptions racing with updates, answer rendering
+// racing with updates, the paged-file fault-injection path
 // (truncated file → kIoError, not silence), and malformed batches
 // rejected before anything publishes.
 //
@@ -31,7 +31,6 @@
 
 #include "banks/engine.h"
 #include "search/answer.h"
-#include "search/answer_cache.h"
 #include "serve/queue_sink.h"
 #include "serve/scheduler.h"
 #include "storage/paged_store.h"
@@ -637,66 +636,46 @@ TEST(LiveGraph, ConcurrentWritersAndReadersStayCoherent) {
   ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshBuild(live, mirror, {}));
 }
 
-// ---------------------------------------------------------------------
-// Answer cache across epochs
-// ---------------------------------------------------------------------
-
-TEST(LiveGraph, AnswerCacheStaysCorrectAcrossUpdates) {
-  std::mt19937_64 rng(61);
-  Mirror mirror = SeedMirror(rng, 30, 60);
+TEST(LiveGraph, DescribeAnswerDuringUpdates) {
+  // DescribeAnswer renders labels out of one pinned snapshot, so a
+  // publish landing mid-rendering can neither free the labels being
+  // printed nor change them: old nodes keep their labels at every epoch.
+  std::mt19937_64 rng(81);
+  Mirror mirror = SeedMirror(rng, 40, 80);
   Engine live = mirror.BuildEngine();
-  AnswerCache cache;
   SearchOptions options;
-  options.k = 5;
-  BatchOptions batch_options;
-  batch_options.answer_cache = &cache;
-  std::vector<BatchQuerySpec> specs(2);
-  specs[0].keywords = {"alpha"};
-  specs[1].keywords = {"beta"};
+  options.k = 6;
+  SearchResult result =
+      live.Query(Queries()[0], Algorithm::kBidirectional, options);
+  ASSERT_FALSE(result.answers.empty());
+  std::vector<std::string> expect;
+  for (const AnswerTree& answer : result.answers) {
+    expect.push_back(live.DescribeAnswer(answer));
+  }
 
-  // Warm the cache, then hit it.
-  live.QueryBatch(specs, Algorithm::kBidirectional, options, batch_options);
-  BatchResult warm =
-      live.QueryBatch(specs, Algorithm::kBidirectional, options, batch_options);
-  EXPECT_EQ(warm.answer_cache_hits, 2u);
-
-  // Structural update: the structure epoch in the key makes every old
-  // entry unreachable — both specs must miss and re-execute, and the
-  // refreshed results must match the new state's fresh build.
-  UpdateBatch structural;
-  structural.nodes.push_back({"paper", "pnew", "alpha beta"});
-  structural.edges.push_back({static_cast<NodeId>(mirror.nodes.size()), 0, 1.0});
-  live.ApplyUpdate(structural, &cache);
-  mirror.Apply(structural);
-  BatchResult refreshed =
-      live.QueryBatch(specs, Algorithm::kBidirectional, options, batch_options);
-  EXPECT_EQ(refreshed.answer_cache_hits, 0u);
-  Engine reference = mirror.BuildEngine();
-  BatchResult expect = reference.QueryBatch(specs, Algorithm::kBidirectional,
-                                            options, BatchOptions{});
-  ASSERT_NO_FATAL_FAILURE(
-      ExpectSameResult(expect.results[0], refreshed.results[0]));
-  ASSERT_NO_FATAL_FAILURE(
-      ExpectSameResult(expect.results[1], refreshed.results[1]));
-
-  // Posting-only update touching "alpha": the key keeps its structure
-  // epoch, so stale-entry defense is InvalidateKeywords — the alpha
-  // entry must be dropped, the untouched beta entry must survive.
-  live.QueryBatch(specs, Algorithm::kBidirectional, options, batch_options);
-  UpdateBatch texts_only;
-  texts_only.texts.push_back({2, "alpha"});
-  live.ApplyUpdate(texts_only, &cache);
-  mirror.Apply(texts_only);
-  BatchResult after =
-      live.QueryBatch(specs, Algorithm::kBidirectional, options, batch_options);
-  EXPECT_EQ(after.answer_cache_hits, 1u);  // beta survived, alpha evicted
-  Engine reference2 = mirror.BuildEngine();
-  BatchResult expect2 = reference2.QueryBatch(specs, Algorithm::kBidirectional,
-                                              options, BatchOptions{});
-  ASSERT_NO_FATAL_FAILURE(
-      ExpectSameResult(expect2.results[0], after.results[0]));
-  ASSERT_NO_FATAL_FAILURE(
-      ExpectSameResult(expect2.results[1], after.results[1]));
+  // Every RandBatch adds at least one edge: each publish is structural.
+  std::vector<UpdateBatch> batches;
+  {
+    Mirror shadow = mirror;
+    for (int i = 0; i < 200; ++i) {
+      batches.push_back(RandBatch(rng, shadow.nodes.size()));
+      shadow.Apply(batches.back());
+    }
+  }
+  std::atomic<bool> done{false};
+  std::thread writer([&]() {
+    for (const UpdateBatch& batch : batches) live.ApplyUpdate(batch);
+    done.store(true, std::memory_order_release);
+  });
+  size_t renders = 0;
+  while (!done.load(std::memory_order_acquire) || renders == 0) {
+    for (size_t i = 0; i < result.answers.size(); ++i) {
+      EXPECT_EQ(live.DescribeAnswer(result.answers[i]), expect[i]);
+    }
+    ++renders;
+  }
+  writer.join();
+  EXPECT_EQ(live.epoch(), batches.size());
 }
 
 // ---------------------------------------------------------------------

@@ -54,37 +54,6 @@ TEST(OutputHeapReleaseBest, CachedBestStaysCorrect) {
   EXPECT_DOUBLE_EQ(heap.BestPendingScore(), -1);
 }
 
-// ----------------------------------------------- Fingerprint / equality --
-
-TEST(OptionsFingerprint, StableForEqualOptions) {
-  SearchOptions a;
-  SearchOptions b;
-  EXPECT_EQ(OptionsFingerprint(a), OptionsFingerprint(b));
-  EXPECT_TRUE(SameResultOptions(a, b));
-}
-
-TEST(OptionsFingerprint, EveryResultAffectingFieldChangesIt) {
-  const SearchOptions base;
-  const uint64_t fp = OptionsFingerprint(base);
-  auto differs = [&](auto mutate) {
-    SearchOptions o = base;
-    mutate(o);
-    EXPECT_NE(OptionsFingerprint(o), fp);
-    EXPECT_FALSE(SameResultOptions(o, base));
-  };
-  differs([](SearchOptions& o) { o.k = 11; });
-  differs([](SearchOptions& o) { o.dmax = 7; });
-  differs([](SearchOptions& o) { o.lambda = 0.3; });
-  differs([](SearchOptions& o) { o.mu = 0.6; });
-  differs([](SearchOptions& o) { o.combine = ActivationCombine::kSum; });
-  differs([](SearchOptions& o) { o.bound = BoundMode::kLoose; });
-  differs([](SearchOptions& o) { o.edge_filter = EdgeFilter::kForwardOnly; });
-  differs([](SearchOptions& o) { o.max_nodes_explored = 1; });
-  differs([](SearchOptions& o) { o.max_answers_generated = 1; });
-  differs([](SearchOptions& o) { o.bound_check_interval = 65; });
-  differs([](SearchOptions& o) { o.release_patience = 513; });
-}
-
 // ------------------------------------------------------ Option behaviour --
 
 class OptionsSweep : public ::testing::TestWithParam<Algorithm> {};

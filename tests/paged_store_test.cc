@@ -324,18 +324,24 @@ TEST_P(PagedDifferentialTest, PagedMatchesInRam) {
       subs.push_back(paged.Subscribe(queries[i % queries.size()], c.algorithm,
                                      &sinks[i], options, subscribe));
     }
+    uint64_t search_page_waits = 0;
     for (size_t i = 0; i < subscriptions; ++i) {
       ASSERT_EQ(subs[i].Wait(), SubscribeStatus::kCompleted);
       SearchResult got;
       AnswerTree answer;
       while (sinks[i].TryPop(&answer)) got.answers.push_back(answer);
       got.metrics = sinks[i].final_metrics();
+      search_page_waits += got.metrics.page_waits;
       ExpectSameResult(Env().ram.Query(queries[i % queries.size()],
                                        c.algorithm, options),
                        got);
     }
+    // The scheduler counts every page-fault quantum, parked or requeued
+    // at once because its fetch had already landed: exactly the faults
+    // the searches counted.
+    EXPECT_EQ(scheduler.Snapshot().page_waits, search_page_waits);
     EXPECT_GT(scheduler.Snapshot().page_waits, 0u)
-        << "one-page pool never parked a quantum";
+        << "one-page pool never faulted a quantum";
     return;
   }
   for (const auto& keywords : Env().queries) {

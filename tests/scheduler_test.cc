@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -111,10 +112,12 @@ struct ServeCase {
   /// Copies of the subscription submitted at once, each with its own
   /// sink, competing for the same workers. (`ShardsN` is the historical
   /// instance suffix, from when N was the intra-query shard count.)
-  uint16_t shards;
+  uint8_t shards;
   /// SchedulerOptions::quantum_steps; deliberately tiny so the search is
   /// chopped into many slices — 1 pauses after every expansion.
-  uint16_t quantum_steps;
+  uint8_t quantum_steps;
+  /// SchedulerOptions::num_workers serving the copies.
+  uint16_t workers = 2;
 };
 
 std::string ServeCaseName(const ::testing::TestParamInfo<ServeCase>& info) {
@@ -123,6 +126,7 @@ std::string ServeCaseName(const ::testing::TestParamInfo<ServeCase>& info) {
   name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
   name += "Shards" + std::to_string(c.shards);
   if (c.quantum_steps != 3) name += "Quantum" + std::to_string(c.quantum_steps);
+  if (c.workers != 2) name += "Workers" + std::to_string(c.workers);
   return name;
 }
 
@@ -138,7 +142,7 @@ TEST_P(SchedulerDifferentialTest, SubscribeMatchesDrainedQuery) {
   // Worker-backed scheduler whose quanta pause the search many times —
   // the differential must hold for any pause pattern.
   SchedulerOptions so;
-  so.num_workers = 2;
+  so.num_workers = c.workers;
   so.quantum_steps = c.quantum_steps;
   Scheduler scheduler(so);
   std::vector<QueueSink> sinks(c.shards);
@@ -172,7 +176,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ServeCase{Algorithm::kBackwardSI, 1, 1},
                       ServeCase{Algorithm::kBackwardMI, 1, 3},
                       ServeCase{Algorithm::kBackwardMI, 4, 3},
-                      ServeCase{Algorithm::kBackwardMI, 1, 1}),
+                      ServeCase{Algorithm::kBackwardMI, 1, 1},
+                      ServeCase{Algorithm::kBidirectional, 8, 3, 4},
+                      ServeCase{Algorithm::kBidirectional, 8, 3, 8},
+                      ServeCase{Algorithm::kBackwardSI, 8, 3, 4},
+                      ServeCase{Algorithm::kBackwardMI, 8, 3, 4}),
     ServeCaseName);
 
 // ---- Fair queueing --------------------------------------------------------
@@ -570,6 +578,60 @@ TEST_F(ServeEngineTest, SubscribeMatchesQuery) {
     EXPECT_TRUE(SameAnswer(got[i], reference.answers[i])) << i;
   }
   ExpectSameDeterministicMetrics(sink.final_metrics(), reference.metrics);
+}
+
+TEST_F(ServeEngineTest, ContextPoolStaysWarmAcrossRounds) {
+  // Many queries in flight: one Subscribe per query, each into its own
+  // sink, then Wait on them all. A second round of the same queries runs
+  // on the contexts the first round warmed — the pool does not grow —
+  // and every answer sequence equals the drained Query's. Manual drive
+  // rotates the runnable tasks one quantum at a time, so every task of
+  // a round holds its context at once and round 1 reaches the pool's
+  // high-water mark deterministically.
+  constexpr Algorithm kAlgos[] = {Algorithm::kBidirectional,
+                                  Algorithm::kBackwardSI,
+                                  Algorithm::kBidirectional,
+                                  Algorithm::kBackwardSI};
+  std::vector<SearchResult> references;
+  for (Algorithm a : kAlgos) {
+    references.push_back(engine_->Query(Keywords(), a, Options()));
+  }
+  SchedulerOptions so;
+  so.num_workers = 0;
+  so.quantum_steps = 16;
+  Scheduler scheduler(so);
+  SearchContextPool& pool = scheduler.context_pool();
+  SubscribeOptions subscribe;
+  subscribe.scheduler = &scheduler;
+  size_t after_first = 0;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<QueueSink> sinks(std::size(kAlgos));
+    std::vector<Subscription> subs;
+    for (size_t i = 0; i < sinks.size(); ++i) {
+      subs.push_back(engine_->Subscribe(Keywords(), kAlgos[i], &sinks[i],
+                                        Options(), subscribe));
+    }
+    while (scheduler.DriveOne()) {
+    }
+    for (size_t i = 0; i < subs.size(); ++i) {
+      ASSERT_EQ(subs[i].Wait(), SubscribeStatus::kCompleted) << i;
+      std::vector<AnswerTree> got = DrainSink(&sinks[i]);
+      ASSERT_EQ(got.size(), references[i].answers.size()) << i;
+      for (size_t j = 0; j < got.size(); ++j) {
+        EXPECT_TRUE(SameAnswer(got[j], references[i].answers[j])) << i;
+      }
+      ExpectSameDeterministicMetrics(sinks[i].final_metrics(),
+                                     references[i].metrics);
+    }
+    EXPECT_EQ(pool.available(), pool.size());  // every lease returned
+    if (round == 0) {
+      after_first = pool.size();
+      EXPECT_EQ(after_first, std::size(kAlgos));
+    } else {
+      EXPECT_EQ(pool.size(), after_first) << "warm contexts not reused";
+    }
+  }
 }
 
 TEST_F(ServeEngineTest, ScheduledStreamMatchesInlineStream) {
