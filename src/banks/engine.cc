@@ -287,13 +287,6 @@ const std::string& Engine::LabelOn(const Snapshot& snap, NodeId node) {
   return snap.data.node_labels[node];
 }
 
-const std::string& Engine::NodeLabel(NodeId node) const {
-  // Reads the current snapshot; like the graph()/index() accessors, the
-  // returned reference is for quiescent use — it stays valid until the
-  // next ApplyUpdate retires the snapshot.
-  return LabelOn(*SnapshotNow(), node);
-}
-
 std::string Engine::DescribeAnswer(const AnswerTree& tree) const {
   // One pinned snapshot for every label: the references LabelOn returns
   // stay valid for the whole rendering, whatever updates publish.

@@ -36,7 +36,7 @@ struct UpdateBatch {
     /// Node type name ("" = untyped). Interned against the graph's
     /// existing type names; unseen names are appended.
     std::string type;
-    /// Display label (Engine::NodeLabel).
+    /// Display label (Engine::DescribeAnswer shows it).
     std::string label;
     /// Text indexed for keyword matching (may be empty).
     std::string text;
@@ -222,10 +222,9 @@ class Engine {
     return SnapshotNow()->prestige;
   }
 
-  /// Display label for a node ("paper#17 [bidirectional expansion ...]").
-  const std::string& NodeLabel(NodeId node) const;
-
-  /// Multi-line human-readable rendering of an answer tree.
+  /// Multi-line human-readable rendering of an answer tree: each node
+  /// by its display label ("paper#17 [bidirectional expansion ...]"),
+  /// read from one pinned snapshot.
   std::string DescribeAnswer(const AnswerTree& tree) const;
 
  private:

@@ -29,7 +29,7 @@ struct TsvLoadStats {
 ///    name matches every node of that type — the same semantics the
 ///    relational path gets from contiguous-range relation registration,
 ///    without requiring TSV ids to be grouped by type.
-///  * `label` is the display string (Engine::NodeLabel shows
+///  * `label` is the display string (Engine::DescribeAnswer shows
 ///    "type#id [label]"); `text`, when present, is additionally indexed.
 ///
 /// edges file, one forward edge per row:

@@ -194,8 +194,9 @@ class Graph {
   size_t MemoryBytes() const;
 
   /// Per-component byte breakdown; sizes buffer pools and feeds the
-  /// micro_graph report. For a paged graph `adjacency_*` counts on-disk
-  /// page bytes (not RAM) and resident() excludes them.
+  /// micro_paged and banks_bench reports. For a paged graph
+  /// `adjacency_*` counts on-disk page bytes (not RAM) and resident()
+  /// excludes them.
   struct MemoryUsage {
     size_t adjacency_target_bytes = 0;  // NodeId halves of out+in edges
     size_t adjacency_weight_bytes = 0;  // weight+dir halves (incl. padding)

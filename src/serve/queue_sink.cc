@@ -1,6 +1,5 @@
 #include "serve/queue_sink.h"
 
-#include <chrono>
 #include <utility>
 
 namespace banks {
@@ -29,26 +28,6 @@ std::optional<AnswerTree> QueueSink::Pop() {
     return !queue_.empty() || status_ != SubscribeStatus::kPending;
   });
   if (queue_.empty()) return std::nullopt;
-  AnswerTree out = std::move(queue_.front());
-  queue_.pop_front();
-  return out;
-}
-
-std::optional<AnswerTree> QueueSink::PopFor(double timeout_seconds,
-                                            bool* timed_out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto ready = [&] {
-    return !queue_.empty() || status_ != SubscribeStatus::kPending;
-  };
-  bool woke = true;
-  if (timeout_seconds > 0) {
-    woke = cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
-                        ready);
-  } else {
-    cv_.wait(lock, ready);
-  }
-  if (timed_out != nullptr) *timed_out = !woke;
-  if (!woke || queue_.empty()) return std::nullopt;
   AnswerTree out = std::move(queue_.front());
   queue_.pop_front();
   return out;

@@ -12,10 +12,9 @@ namespace banks {
 
 /// The bridge from push back to pull: an AnswerSink that buffers
 /// answers behind a mutex + condition variable so a consumer thread can
-/// Pop() them at its own pace. This is how the pull AnswerStream is
-/// re-expressed on the serving core — a scheduler-backed stream is just
-/// a Subscription delivering into a QueueSink, with Next() waiting on
-/// the condition variable (see answer_stream.h, scheduled mode).
+/// Pop() them at its own pace. An in-process caller that wants to pull
+/// from a scheduled query Subscribes into a QueueSink and Pops; the
+/// pull AnswerStream itself runs inline and does not use one.
 ///
 /// Producer side (scheduler worker): OnAnswer copies the tree into the
 /// queue; OnComplete records the terminal status + final metrics. Both
@@ -28,17 +27,9 @@ class QueueSink : public AnswerSink {
                   const SearchMetrics& metrics) override;
 
   /// Takes the next buffered answer, blocking until one arrives or the
-  /// subscription reaches its terminal status (then nullopt). A
-  /// positive timeout bounds the wait in seconds — nullopt with
-  /// timed_out() observable via the return of PopFor below. timeout 0
-  /// blocks indefinitely.
+  /// subscription reaches its terminal status with the queue empty
+  /// (then nullopt).
   std::optional<AnswerTree> Pop();
-
-  /// Pop with a wall-clock bound. Returns the answer, or nullopt with
-  /// *timed_out = true when the bound expired first (the subscription
-  /// is still live) and *timed_out = false when the terminal status
-  /// arrived with the queue empty.
-  std::optional<AnswerTree> PopFor(double timeout_seconds, bool* timed_out);
 
   /// Non-blocking take; false when the queue is currently empty.
   bool TryPop(AnswerTree* out);

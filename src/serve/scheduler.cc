@@ -211,12 +211,6 @@ uint64_t Subscription::id() const { return task_ != nullptr ? task_->id : 0; }
 
 Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(Sanitize(options)) {
-  if (options_.context_pool != nullptr) {
-    pool_ = options_.context_pool;
-  } else {
-    owned_pool_ = std::make_unique<SearchContextPool>();
-    pool_ = owned_pool_.get();
-  }
   size_t workers = options_.num_workers;
   if (workers == SchedulerOptions::kAutoWorkers) {
     workers = std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -477,7 +471,7 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
     if (!t.lease) {
       // Attach: first quantum of this task. The slot was reserved at
       // admission, so this never exceeds max_running leases.
-      t.lease = pool_->Acquire();
+      t.lease = pool_.Acquire();
       t.lease->stream.Reset();
       // Arm the page-fault listener unconditionally: a resident graph
       // never probes it, a paged graph turns page misses into quantum

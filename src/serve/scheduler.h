@@ -54,13 +54,6 @@ struct SchedulerOptions {
   /// overshoots a deadline by more than one clock-read interval
   /// (StepLimits::deadline_seconds).
   double quantum_seconds = 0.002;
-
-  /// Context pool run slots draw from; null makes the scheduler own a
-  /// private pool. Every task on this scheduler leases from it —
-  /// in-process subscriptions and wire requests alike — so they all
-  /// keep one set of contexts warm. A caller-owned pool must outlive the
-  /// scheduler.
-  SearchContextPool* context_pool = nullptr;
 };
 
 /// Per-Subscribe knobs (see docs/SERVING.md).
@@ -276,9 +269,11 @@ class Scheduler {
 
   size_t num_workers() const { return workers_.size(); }
 
-  /// The pool run slots lease contexts from (the configured one, or the
-  /// scheduler-private pool).
-  SearchContextPool& context_pool() { return *pool_; }
+  /// The pool run slots lease contexts from. The scheduler owns it:
+  /// every task on this scheduler leases from it — in-process
+  /// subscriptions and wire requests alike — so they all keep one set
+  /// of contexts warm.
+  SearchContextPool& context_pool() { return pool_; }
 
  private:
   friend class Subscription;
@@ -329,8 +324,7 @@ class Scheduler {
   double NextDeadlineLocked() const;
 
   const SchedulerOptions options_;
-  std::unique_ptr<SearchContextPool> owned_pool_;
-  SearchContextPool* pool_ = nullptr;
+  SearchContextPool pool_;
   Timer epoch_;
 
   mutable std::mutex mu_;

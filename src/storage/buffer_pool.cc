@@ -50,7 +50,7 @@ BufferPool::~BufferPool() {
 }
 
 size_t BufferPool::AcquireFrameLocked(size_t bytes) {
-  // Make room: evict unpinned resident pages in policy order until the
+  // Make room: evict unpinned resident pages in LRU order until the
   // new page fits, or nothing evictable remains. Pools are small (tens
   // to hundreds of frames), so a linear stamp scan beats maintaining an
   // intrusive list.
@@ -141,9 +141,7 @@ const std::byte* BufferPool::Pin(PageId page, PagePin* pin) {
         assert(loaded.pins > 0);
         if (--loaded.pins == 0) FreeFrameLocked(frame_idx);
       } else {
-        if (options_.policy == EvictionPolicy::kLRU) {
-          loaded.stamp = next_stamp_++;
-        }
+        loaded.stamp = next_stamp_++;
         data = loaded.data.data();
       }
     } else {

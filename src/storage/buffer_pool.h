@@ -31,12 +31,6 @@ struct PageRunRef {
 /// (no pin, no hit/miss, probes always succeed).
 inline constexpr PageId kInlinePage = UINT32_MAX;
 
-/// Which resident page to evict when the pool needs room.
-enum class EvictionPolicy : uint8_t {
-  kLRU = 0,   // least recently pinned
-  kFIFO = 1,  // least recently loaded
-};
-
 /// Read-only page source backing a BufferPool. ReadPage may be called
 /// concurrently from pool clients and from the pool's fetch thread, so
 /// implementations must be thread-safe (the paged store uses pread).
@@ -120,7 +114,6 @@ struct BufferPoolOptions {
   /// rather than deadlocking (counted in capacity_overshoots), so even
   /// a pathologically small pool stays correct.
   size_t capacity_bytes = 4u << 20;
-  EvictionPolicy policy = EvictionPolicy::kLRU;
 };
 
 /// Pinned buffer pool over a PageSource. Synchronous Pin() blocks the
@@ -155,7 +148,6 @@ class BufferPool {
 
   BufferPoolStats stats() const;
   size_t capacity_bytes() const { return options_.capacity_bytes; }
-  EvictionPolicy policy() const { return options_.policy; }
 
  private:
   struct Frame {
@@ -168,7 +160,7 @@ class BufferPool {
     // later Pin retries the read fresh); it lingers only while waiters
     // that pinned mid-load drain, and the last Unpin frees it.
     bool failed = false;
-    uint64_t stamp = 0;  // eviction order: LRU = last pin, FIFO = load
+    uint64_t stamp = 0;  // eviction order: the last pin (LRU)
     std::vector<std::shared_ptr<PageFetchListener>> waiters;
   };
 

@@ -395,7 +395,7 @@ std::optional<PagedData> PagedStore::Open(const std::string& path,
   store->fd_ = ::open(path.c_str(), O_RDONLY);
   if (store->fd_ < 0) return std::nullopt;
   store->pool_ = std::make_unique<BufferPool>(
-      store.get(), BufferPoolOptions{options.pool_bytes, options.policy});
+      store.get(), BufferPoolOptions{options.pool_bytes});
 
   g.store_ = store;
   ix.store_ = store;

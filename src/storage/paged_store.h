@@ -46,7 +46,6 @@ struct PagedStoreOptions {
 struct PagedOpenOptions {
   /// Buffer pool budget for resident pages (see BufferPoolOptions).
   size_t pool_bytes = 4u << 20;
-  EvictionPolicy policy = EvictionPolicy::kLRU;
 };
 
 class PagedStore;

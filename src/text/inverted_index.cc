@@ -9,9 +9,6 @@
 
 namespace banks {
 
-InvertedIndex::InvertedIndex(TokenizerOptions tokenizer_options)
-    : tokenizer_(tokenizer_options) {}
-
 void InvertedIndex::AddDocument(NodeId node, std::string_view text) {
   assert(!frozen_);
   for (const std::string& token : tokenizer_.Tokenize(text)) {
@@ -112,39 +109,6 @@ std::span<const NodeId> InvertedIndex::PostingsById(uint32_t id) const {
   return postings_[id];
 }
 
-InvertedIndex::MemoryUsage InvertedIndex::ComputeMemoryUsage() const {
-  MemoryUsage u;
-  if (base_ != nullptr) {
-    u = base_->ComputeMemoryUsage();
-    size_t delta_bytes = 0;
-    for (const auto& [term, list] : delta_postings_) {
-      delta_bytes += term.size() + list.size() * sizeof(NodeId);
-    }
-    u.postings_bytes += delta_bytes;
-    u.resident_bytes += delta_bytes;
-    return u;
-  }
-  if (paged()) {
-    for (const PostingRun& run : posting_runs_) {
-      u.postings_bytes += run.count * sizeof(NodeId);
-    }
-  } else {
-    for (const auto& list : postings_) {
-      u.postings_bytes += list.size() * sizeof(NodeId);
-    }
-  }
-  for (const auto& [term, id] : term_ids_) {
-    u.term_bytes += term.size() + sizeof(uint32_t);
-  }
-  for (const auto& [name, range] : relations_) {
-    u.relation_bytes += name.size() + sizeof(RelationRange);
-  }
-  u.run_table_bytes = posting_runs_.size() * sizeof(PostingRun);
-  u.resident_bytes = u.total_bytes();
-  if (paged()) u.resident_bytes -= u.postings_bytes;
-  return u;
-}
-
 size_t InvertedIndex::MatchCount(std::string_view keyword) const {
   return Match(keyword).size();
 }
@@ -173,8 +137,7 @@ InvertedIndex ApplyIndexDelta(
   assert(base != nullptr && base->frozen());
   const InvertedIndex& prev = *base;
 
-  InvertedIndex next(TokenizerOptions{});
-  next.tokenizer_ = prev.tokenizer_;
+  InvertedIndex next;
   next.relations_ = prev.relations_;
   next.frozen_ = true;
   // Flatten: point at the ultimate non-overlay index and carry the

@@ -30,8 +30,6 @@ class PagedStore;
 ///    tuples in the relation are assumed to match the term".
 class InvertedIndex {
  public:
-  explicit InvertedIndex(TokenizerOptions tokenizer_options = {});
-
   /// True when this index is an update overlay over a shared base
   /// (ApplyIndexDelta): touched terms resolve from delta posting lists,
   /// untouched terms read through to the base (resident or paged).
@@ -95,20 +93,6 @@ class InvertedIndex {
   const std::unordered_map<std::string, RelationRange>& relations() const {
     return relations_;
   }
-
-  /// Byte breakdown mirroring Graph::MemoryUsage; `postings_bytes` is
-  /// on-disk page bytes when paged, and resident_bytes excludes it.
-  struct MemoryUsage {
-    size_t postings_bytes = 0;   // NodeId posting lists
-    size_t term_bytes = 0;       // term strings + hash entries
-    size_t relation_bytes = 0;   // relation ranges
-    size_t run_table_bytes = 0;  // paged-mode posting locators
-    size_t total_bytes() const {
-      return postings_bytes + term_bytes + relation_bytes + run_table_bytes;
-    }
-    size_t resident_bytes = 0;
-  };
-  MemoryUsage ComputeMemoryUsage() const;
 
  private:
   friend class PagedStore;

@@ -14,7 +14,7 @@ const char* const kStopwords[] = {
 
 }  // namespace
 
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {
+Tokenizer::Tokenizer() {
   for (const char* w : kStopwords) stopwords_.insert(w);
 }
 
@@ -22,8 +22,7 @@ std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
   std::string current;
   auto flush = [&] {
-    if (current.size() >= options_.min_token_length &&
-        (!options_.remove_stopwords || !IsStopword(current))) {
+    if (current.size() >= kMinTokenLength && !IsStopword(current)) {
       tokens.push_back(current);
     }
     current.clear();

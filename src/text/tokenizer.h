@@ -8,23 +8,19 @@
 
 namespace banks {
 
-/// Options for text tokenization. The index and the query parser must use
-/// the same tokenizer so that query terms hit the postings they were
-/// indexed under.
-struct TokenizerOptions {
-  /// Drop common English function words ("the", "of", ...). The paper's
-  /// keyword queries never contain these, but real node text does.
-  bool remove_stopwords = true;
-  /// Minimum token length after folding; single characters are noise in
-  /// bibliographic text (middle initials).
-  size_t min_token_length = 2;
-};
-
-/// Lower-cases, splits on non-alphanumeric characters, applies the
-/// options. Deterministic and locale-independent (ASCII).
+/// Lower-cases and splits on non-alphanumeric characters, then drops
+/// tokens shorter than kMinTokenLength and common English function
+/// words ("the", "of", ...). Deterministic and locale-independent
+/// (ASCII). The rules are fixed because the index, its update
+/// overlays, the paged store, the tuple matcher and the workload
+/// generator must all agree on tokens.
 class Tokenizer {
  public:
-  explicit Tokenizer(TokenizerOptions options = {});
+  /// Single characters are noise in bibliographic text (middle
+  /// initials).
+  static constexpr size_t kMinTokenLength = 2;
+
+  Tokenizer();
 
   std::vector<std::string> Tokenize(std::string_view text) const;
 
@@ -36,7 +32,6 @@ class Tokenizer {
   bool IsStopword(const std::string& token) const;
 
  private:
-  TokenizerOptions options_;
   std::unordered_set<std::string> stopwords_;
 };
 

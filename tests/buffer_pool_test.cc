@@ -97,16 +97,15 @@ class CountingListener : public PageFetchListener {
 
 constexpr uint32_t kPageLen = 256;
 
-BufferPoolOptions PoolOf(size_t pages, EvictionPolicy policy) {
+BufferPoolOptions PoolOf(size_t pages) {
   BufferPoolOptions o;
   o.capacity_bytes = pages * kPageLen;
-  o.policy = policy;
   return o;
 }
 
 TEST(BufferPool, PinLoadsAndSecondPinHits) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   {
     PagePin pin;
     pool.Pin(0, &pin);
@@ -128,7 +127,7 @@ TEST(BufferPool, PinLoadsAndSecondPinHits) {
 
 TEST(BufferPool, PinCountBlocksEvictionAndForcesOvershoot) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(1, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(1));
   PagePin a;
   pool.Pin(0, &a);
   // Page 0 is pinned and the pool holds one page: loading page 1 cannot
@@ -151,7 +150,7 @@ TEST(BufferPool, PinCountBlocksEvictionAndForcesOvershoot) {
 
 TEST(BufferPool, PinCountPerFrameIsCorrect) {
   FakeSource src(2, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(2));
   PagePin p1, p2;
   pool.Pin(0, &p1);
   pool.Pin(0, &p2);
@@ -164,7 +163,7 @@ TEST(BufferPool, PinCountPerFrameIsCorrect) {
 
 TEST(BufferPool, MovedPinTransfersOwnership) {
   FakeSource src(2, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(2));
   PagePin a;
   pool.Pin(0, &a);
   PagePin b = std::move(a);
@@ -177,7 +176,7 @@ TEST(BufferPool, MovedPinTransfersOwnership) {
 
 TEST(BufferPool, LRUEvictsLeastRecentlyPinned) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(2));
   {
     PagePin pin;
     pool.Pin(0, &pin);
@@ -200,33 +199,9 @@ TEST(BufferPool, LRUEvictsLeastRecentlyPinned) {
   EXPECT_EQ(pool.stats().evictions, 1u);
 }
 
-TEST(BufferPool, FIFOEvictsOldestLoadDespiteTouches) {
-  FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kFIFO));
-  {
-    PagePin pin;
-    pool.Pin(0, &pin);
-  }
-  {
-    PagePin pin;
-    pool.Pin(1, &pin);
-  }
-  {
-    PagePin pin;  // re-pin page 0 — FIFO ignores recency, 0 still oldest
-    pool.Pin(0, &pin);
-  }
-  {
-    PagePin pin;
-    pool.Pin(2, &pin);
-  }
-  EXPECT_FALSE(pool.Resident(0));
-  EXPECT_TRUE(pool.Resident(1));
-  EXPECT_TRUE(pool.Resident(2));
-}
-
 TEST(BufferPool, NoDirtyPagesEverAndEvictionNeverWritesBack) {
   FakeSource src(8, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(2));
   for (int round = 0; round < 3; ++round) {
     for (PageId p = 0; p < 8; ++p) {
       PagePin pin;
@@ -247,7 +222,7 @@ TEST(BufferPool, NoDirtyPagesEverAndEvictionNeverWritesBack) {
 
 TEST(BufferPool, RequestFetchAsyncExactlyOneReadyPerQueued) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   auto listener = std::make_shared<CountingListener>();
   ASSERT_FALSE(pool.Resident(2));
   pool.RequestFetch(2, listener);
@@ -264,7 +239,7 @@ TEST(BufferPool, RequestFetchAsyncExactlyOneReadyPerQueued) {
 
 TEST(BufferPool, RequestFetchResidentFiresInline) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   {
     PagePin pin;
     pool.Pin(1, &pin);
@@ -278,7 +253,7 @@ TEST(BufferPool, RequestFetchResidentFiresInline) {
 
 TEST(BufferPool, DuplicateFetchRequestsEachGetOneReady) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   auto l1 = std::make_shared<CountingListener>();
   auto l2 = std::make_shared<CountingListener>();
   pool.RequestFetch(3, l1);
@@ -309,7 +284,7 @@ TEST(BufferPool, PathologicallySmallPoolStaysCorrect) {
 
 TEST(BufferPool, FailedReadFailsPinAndRetrySucceeds) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   src.FailNextReads(1);
   {
     PagePin pin;
@@ -334,7 +309,7 @@ TEST(BufferPool, FailedReadFailsPinAndRetrySucceeds) {
 
 TEST(BufferPool, FailedAsyncFetchStillFiresReadyAndCounts) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   auto listener = std::make_shared<CountingListener>();
   src.FailNextReads(1);
   pool.RequestFetch(2, listener);
@@ -348,7 +323,7 @@ TEST(BufferPool, FailedAsyncFetchStillFiresReadyAndCounts) {
 
 TEST(BufferPool, ConcurrentPinsOnFailedLoadAllFail) {
   FakeSource src(2, kPageLen);
-  BufferPool pool(&src, PoolOf(2, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(2));
   src.FailNextReads(1);
   constexpr int kThreads = 4;
   std::atomic<int> failed{0};
@@ -377,7 +352,7 @@ TEST(BufferPool, ConcurrentPinsOnFailedLoadAllFail) {
 
 TEST(BufferPool, StatsGaugesTrackResidency) {
   FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4, EvictionPolicy::kLRU));
+  BufferPool pool(&src, PoolOf(4));
   PagePin a, b;
   pool.Pin(0, &a);
   pool.Pin(1, &b);

@@ -103,11 +103,6 @@ TEST_F(EngineTest, AllAlgorithmsAgreeOnTopAnswerScore) {
   }
 }
 
-TEST_F(EngineTest, NodeLabelLookup) {
-  EXPECT_NE(engine_->NodeLabel(0).find("conference"), std::string::npos);
-  EXPECT_EQ(engine_->NodeLabel(static_cast<NodeId>(1u << 30)), "<node>");
-}
-
 TEST_F(EngineTest, DescribeAnswerMentionsNodes) {
   SearchResult r =
       engine_->Query({"author"}, Algorithm::kBackwardSI, SearchOptions{});
@@ -115,6 +110,16 @@ TEST_F(EngineTest, DescribeAnswerMentionsNodes) {
   std::string desc = engine_->DescribeAnswer(r.answers[0]);
   EXPECT_NE(desc.find("root:"), std::string::npos);
   EXPECT_NE(desc.find("keyword 0"), std::string::npos);
+  const std::string& root_label =
+      engine_->data().node_labels[r.answers[0].root];
+  ASSERT_FALSE(root_label.empty());
+  EXPECT_NE(desc.find(root_label), std::string::npos);
+
+  // A root past the node count renders the "<node>" fallback label.
+  AnswerTree stray;
+  stray.root = static_cast<NodeId>(1u << 30);
+  EXPECT_NE(engine_->DescribeAnswer(stray).find("root: <node>"),
+            std::string::npos);
 }
 
 TEST(EngineOptionsTest, UniformPrestigeWhenDisabled) {

@@ -416,24 +416,6 @@ TEST(PagedStore, NodeOrderLayoutAlsoMatchesInRam) {
   }
 }
 
-TEST(PagedStore, FIFOEvictionAlsoMatchesInRam) {
-  ASSERT_TRUE(Env().ok);
-  PagedOpenOptions open;
-  open.pool_bytes = 16u << 10;
-  open.policy = EvictionPolicy::kFIFO;
-  std::optional<PagedData> pd = PagedStore::Open(Env().clustered_path, open);
-  ASSERT_TRUE(pd.has_value());
-  Engine paged(std::move(pd->data));
-  SearchOptions options;
-  options.k = 8;
-  for (const auto& keywords : Env().queries) {
-    SearchResult expect =
-        Env().ram.Query(keywords, Algorithm::kBackwardMI, options);
-    SearchResult got = paged.Query(keywords, Algorithm::kBackwardMI, options);
-    ExpectSameResult(expect, got);
-  }
-}
-
 TEST(PagedStore, PagedRunsAreDeterministicAcrossRepeats) {
   ASSERT_TRUE(Env().ok);
   PagedOpenOptions open;

@@ -238,13 +238,12 @@ TEST(SchedulerFairness, StrideServesTenantsByWeight) {
 
 TEST(SchedulerAdmission, QueuedTaskHoldsNoContextLease) {
   Workload w;
-  SearchContextPool pool;
   SchedulerOptions so;
   so.num_workers = 0;
   so.max_running = 1;
   so.quantum_steps = 2;
-  so.context_pool = &pool;
   Scheduler scheduler(so);
+  SearchContextPool& pool = scheduler.context_pool();
 
   // Synthetic epoch pins (as Engine::Subscribe would attach): the pin
   // must live exactly as long as its task, leases or not.
@@ -339,12 +338,11 @@ TEST(SchedulerAdmission, OverflowIsRejectedWithTerminalPush) {
 
 TEST(SchedulerDeadline, ExpiredTaskIsCancelledAndContextStaysWarm) {
   Workload w;
-  SearchContextPool pool;
   SchedulerOptions so;
   so.num_workers = 0;
   so.quantum_steps = 1;
-  so.context_pool = &pool;
   Scheduler scheduler(so);
+  SearchContextPool& pool = scheduler.context_pool();
 
   // An already-expired deadline: the first scheduling decision sweeps
   // the task out without it ever running a quantum.
@@ -416,12 +414,11 @@ TEST(SchedulerCredits, CreditStarvedTaskDetachesIntoStreamState) {
   ASSERT_GE(reference.answers.size(), 2u)
       << "workload must yield several answers for this test";
 
-  SearchContextPool pool;
   SchedulerOptions so;
   so.num_workers = 0;
   so.quantum_steps = 8;
-  so.context_pool = &pool;
   Scheduler scheduler(so);
+  SearchContextPool& pool = scheduler.context_pool();
 
   QueueSink sink;
   TaskSpec spec = w.Spec(&sink);
@@ -466,12 +463,11 @@ TEST(SchedulerCredits, StarvedSubscriptionHoldsZeroLeasesAcrossManyQuanta) {
   SearchResult reference = w.Reference();
   ASSERT_GE(reference.answers.size(), 2u);
 
-  SearchContextPool pool;
   SchedulerOptions so;
   so.num_workers = 0;
   so.quantum_steps = 8;
-  so.context_pool = &pool;
   Scheduler scheduler(so);
+  SearchContextPool& pool = scheduler.context_pool();
 
   QueueSink starved_sink;
   TaskSpec starved_spec = w.Spec(&starved_sink);

@@ -28,16 +28,8 @@ TEST(Tokenizer, RemovesStopwords) {
   EXPECT_EQ(tokens[1], "dead");
 }
 
-TEST(Tokenizer, KeepsStopwordsWhenDisabled) {
-  TokenizerOptions options;
-  options.remove_stopwords = false;
-  options.min_token_length = 1;
-  Tokenizer t(options);
-  EXPECT_EQ(t.Tokenize("the a x").size(), 3u);
-}
-
 TEST(Tokenizer, MinTokenLength) {
-  Tokenizer t;  // default min length 2
+  Tokenizer t;  // tokens shorter than two characters are dropped
   auto tokens = t.Tokenize("j smith q database");
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0], "smith");
