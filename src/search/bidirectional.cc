@@ -1,6 +1,7 @@
 #include "search/bidirectional.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -182,6 +183,15 @@ SearchStatus BidirectionalSearcher::Resume(
   // Builds the tree of marked root `s` into ctx.answer_scratch from the
   // settled sp chains; false when a chain is stale (cycle or broken).
   auto build_tree = [&](uint32_t s) -> bool {
+    // Every keyword leaves through one first hop: the tree's root would
+    // have one child and match no keyword (an origin's sp stays
+    // kNoState), so IsMinimalRooted rejects it. Skip the build.
+    const uint32_t first_hop = sp_at(s, 0);
+    if (first_hop != kNoState) {
+      uint32_t i = 1;
+      while (i < n && sp_at(s, i) == first_hop) ++i;
+      if (i == n) return false;
+    }
     std::vector<NodeId>& keyword_nodes = ctx.kw_scratch;
     std::vector<AnswerEdge>& union_edges = ctx.union_edge_scratch;
     keyword_nodes.assign(n, kInvalidNode);
@@ -323,17 +333,16 @@ SearchStatus BidirectionalSearcher::Resume(
   // ---- ExploreEdge (Figure 3): edge (u,v), i.e. u→v in the graph ----------
   // `incoming_context` is true when called while expanding v from Q_in
   // (activation then spreads v→u); false when expanding u from Q_out
-  // (activation spreads u→v).
+  // (activation spreads u→v). Each state expands at most once per
+  // direction (kStateExpanded*), so this is the edge's one spread in
+  // its direction, and it is already recorded iff the other endpoint
+  // expanded the other way before. The callers skip parallel edges.
   auto explore_edge = [&](uint32_t su, uint32_t sv, float w,
                           bool incoming_context) {
-    result.metrics.edges_relaxed++;
-    uint64_t key = (static_cast<uint64_t>(su) << 32) | sv;
-    // Reference into the flat map: valid until the next edge_flags
-    // insertion, and nothing below inserts into edge_flags.
-    uint8_t& flags = ctx.edge_flags[key];
-
-    if (!(flags & kEdgeRecorded)) {
-      flags |= kEdgeRecorded;
+    const bool recorded = incoming_context
+                              ? (flags_of[su] & kStateExpandedOut) != 0
+                              : (flags_of[sv] & kStateExpandedIn) != 0;
+    if (!recorded) {
       ctx.edge_lists.Append(&ctx.parents[sv], su, w);
       ctx.edge_lists.Append(&ctx.children[su], sv, w);
       // Relax u's per-keyword distances through v ("if u has a better
@@ -351,26 +360,16 @@ SearchStatus BidirectionalSearcher::Resume(
       }
     }
 
-    if (incoming_context && !(flags & kEdgeSpreadIn)) {
-      flags |= kEdgeSpreadIn;
-      double norm = graph_.InInverseWeightSum(node_of[sv]);
-      if (norm > 0) {
-        for (uint32_t i = 0; i < n; ++i) {
-          if (a_at(sv, i) <= 0) continue;
-          double recv = options_.mu * a_at(sv, i) * (1.0 / w) / norm;
-          if (raise_activation(su, i, recv)) activate(su, i);
-        }
-      }
-    }
-    if (!incoming_context && !(flags & kEdgeSpreadOut)) {
-      flags |= kEdgeSpreadOut;
-      double norm = graph_.OutInverseWeightSum(node_of[su]);
-      if (norm > 0) {
-        for (uint32_t i = 0; i < n; ++i) {
-          if (a_at(su, i) <= 0) continue;
-          double recv = options_.mu * a_at(su, i) * (1.0 / w) / norm;
-          if (raise_activation(sv, i, recv)) activate(sv, i);
-        }
+    // Activation flows from the expanded endpoint to the other one.
+    const uint32_t from = incoming_context ? sv : su;
+    const uint32_t to = incoming_context ? su : sv;
+    double norm = incoming_context ? graph_.InInverseWeightSum(node_of[from])
+                                   : graph_.OutInverseWeightSum(node_of[from]);
+    if (norm > 0) {
+      for (uint32_t i = 0; i < n; ++i) {
+        if (a_at(from, i) <= 0) continue;
+        double recv = options_.mu * a_at(from, i) * (1.0 / w) / norm;
+        if (raise_activation(to, i, recv)) activate(to, i);
       }
     }
   };
@@ -536,8 +535,16 @@ SearchStatus BidirectionalSearcher::Resume(
         PagePin pin;
         std::span<const Edge> in_edges = graph_.InEdges(v_node, &pin);
         if (!slice.BookPin(pin)) return slice.IoError();
+        flags_of[v] |= kStateExpandedIn;
+        NodeId prev = kInvalidNode;
         for (const Edge& e : in_edges) {
           if (!EdgeAllowed(e)) continue;
+          result.metrics.edges_relaxed++;
+          // Parallel edges are adjacent (canonical (other, dir, weight)
+          // run order): the first allowed one stands for the pair.
+          assert(prev == kInvalidNode || e.other >= prev);
+          if (e.other == prev) continue;
+          prev = e.other;
           uint32_t u = get_state(e.other, v_depth + 1);
           explore_edge(u, v, e.weight, /*incoming_context=*/true);
           if (!(flags_of[u] & kStatePoppedIn) && !qin.Contains(u)) {
@@ -559,7 +566,6 @@ SearchStatus BidirectionalSearcher::Resume(
       uint32_t u = qout.Pop();
       if (qout_depth.Contains(u)) qout_depth.Erase(u);
       frontier_leave(u);
-      flags_of[u] |= kStatePoppedOut;
       const NodeId u_node = node_of[u];
       const uint32_t u_depth = depth_of[u];
       result.metrics.nodes_explored++;
@@ -569,8 +575,14 @@ SearchStatus BidirectionalSearcher::Resume(
         PagePin pin;
         std::span<const Edge> out_edges = graph_.OutEdges(u_node, &pin);
         if (!slice.BookPin(pin)) return slice.IoError();
+        flags_of[u] |= kStateExpandedOut;
+        NodeId prev = kInvalidNode;
         for (const Edge& e : out_edges) {
           if (!EdgeAllowed(e)) continue;
+          result.metrics.edges_relaxed++;
+          assert(prev == kInvalidNode || e.other >= prev);
+          if (e.other == prev) continue;  // parallel edge, as above
+          prev = e.other;
           uint32_t v = get_state(e.other, u_depth + 1);
           explore_edge(u, v, e.weight, /*incoming_context=*/false);
           if (!(flags_of[v] & kStateEverInQout)) {

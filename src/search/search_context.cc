@@ -52,7 +52,6 @@ void SearchContext::BeginQuery(size_t num_keywords) {
   act.clear();
   act_sum.clear();
   edge_lists.Clear();
-  edge_flags.Clear();
   qin.Clear();
   qout.Clear();
   qin_depth.Clear();

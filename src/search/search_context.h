@@ -87,16 +87,16 @@ class EdgeListPool {
 // Packed per-state flag bits (SearchContext::state_flags). One byte per
 // state instead of four bools: the hot explore loop tests at most one
 // flag per pop, so the flags ride in their own dense array.
-inline constexpr uint8_t kStatePoppedIn = 1u << 0;    // member of X_in
-inline constexpr uint8_t kStatePoppedOut = 1u << 1;   // member of X_out
-inline constexpr uint8_t kStateEverInQout = 1u << 2;  // entered Q_out once
-inline constexpr uint8_t kStateDirty = 1u << 3;       // awaiting materialize
-
-// Per-edge flag bits of SearchContext::edge_flags, keyed by the state
-// pair (su << 32 | sv) of a directed explored edge u→v.
-inline constexpr uint8_t kEdgeRecorded = 1u << 0;   // P_v/C_u linked, relaxed
-inline constexpr uint8_t kEdgeSpreadIn = 1u << 1;   // activation v→u spread
-inline constexpr uint8_t kEdgeSpreadOut = 1u << 2;  // activation u→v spread
+// "Expanded" means popped below dmax with the adjacency pinned, so the
+// edge loop ran; a state expands at most once per direction. An explored
+// edge u→v is thus in P_v/C_u iff v expanded from Q_in or u from Q_out.
+// kStatePoppedIn stays apart: a state popped at dmax is not expanded but
+// must not re-enter Q_in (Q_out's re-entry guard is kStateEverInQout).
+inline constexpr uint8_t kStatePoppedIn = 1u << 0;     // member of X_in
+inline constexpr uint8_t kStateExpandedOut = 1u << 1;  // out-edges explored
+inline constexpr uint8_t kStateEverInQout = 1u << 2;   // entered Q_out once
+inline constexpr uint8_t kStateDirty = 1u << 3;        // awaiting materialize
+inline constexpr uint8_t kStateExpandedIn = 1u << 4;   // in-edges explored
 
 /// Frontier priority of the Bidirectional Q_in/Q_out queues: activation
 /// first (the paper's prioritization), NodeId as a strict tie-break.
@@ -333,8 +333,6 @@ class SearchContext {
   std::vector<double> act;      // per-keyword activation
   std::vector<double> act_sum;  // per-state total activation (queue key)
   EdgeListPool edge_lists;      // P_u / C_u arena
-  // (su << 32 | sv) state pair → explored-edge flag bits (kEdge*).
-  FlatHashMap<uint64_t, uint8_t> edge_flags;
   // Q_in / Q_out, keyed by state index under the (activation, NodeId)
   // total order.
   IndexedHeap<ActPriority> qin;
