@@ -151,12 +151,11 @@ Subscription Engine::SubscribeOn(std::shared_ptr<const Snapshot> snap,
   spec.origins = std::move(origins);
   spec.sink = sink;
   spec.tenant = subscribe.tenant;
-  spec.weight = subscribe.weight;
   spec.deadline_seconds = subscribe.deadline_seconds;
   spec.answer_credits = subscribe.answer_credits;
-  // The task holds the epoch pin for its whole life — admission queue,
-  // page-wait parks and credit waits included — released by the
-  // scheduler's terminal transition.
+  // The task holds the epoch pin for its whole life — admission queue
+  // and credit waits included — released by the scheduler's terminal
+  // transition.
   spec.epoch_pin = EpochPin{snap, snap->epoch};
   return scheduler.Submit(std::move(spec));
 }

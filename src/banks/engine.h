@@ -170,7 +170,7 @@ class Engine {
   ///
   /// SubscribeOptions carries the serving knobs: target scheduler
   /// (default: the process-wide Scheduler::Default()), fair-queueing
-  /// tenant + weight, a scheduler-enforced deadline covering queueing
+  /// tenant, a scheduler-enforced deadline covering queueing
   /// through delivery, and delivery credits for sink flow control.
   ///
   /// This is also the network front door's entry point: banks::net's

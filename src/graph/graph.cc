@@ -28,18 +28,6 @@ std::span<const Edge> Graph::PagedRun(PageRunRef run, size_t count,
   return {reinterpret_cast<const Edge*>(base + run.offset), count};
 }
 
-bool Graph::ProbeRun(PageRunRef run,
-                     const std::shared_ptr<PageFetchListener>& l) const {
-  if (run.page == kInlinePage) return true;
-  BufferPool& pool = store_->pool();
-  if (pool.Resident(run.page)) return true;
-  if (l != nullptr) {
-    l->OnFetchQueued(run.page);
-    pool.RequestFetch(run.page, l);
-  }
-  return false;
-}
-
 size_t Graph::MemoryBytes() const {
   return out_offsets_.size() * sizeof(size_t) +
          out_edges_.size() * sizeof(Edge) +

@@ -124,32 +124,6 @@ class Graph {
     return PagedRun(in_runs_[v], in_offsets_[v + 1] - in_offsets_[v], pin);
   }
 
-  /// Non-blocking page probes for the serving scheduler's page-wait
-  /// protocol: true when reading v's adjacency would not block (graph
-  /// resident, run empty, overlay delta run, or its page already
-  /// pooled). On false, if `listener` is set, an asynchronous fetch has
-  /// been queued — exactly one OnPageReady follows per OnFetchQueued —
-  /// so the caller can park instead of blocking. Probes never pin and
-  /// never change results.
-  bool ProbeOutEdges(NodeId v, const std::shared_ptr<PageFetchListener>&
-                                   listener = nullptr) const {
-    if (base_ != nullptr) {
-      if (OutDegree(v) == 0 || delta_out_start_[v] != kNoDeltaRun) return true;
-      return base_->ProbeOutEdges(v, listener);
-    }
-    if (store_ == nullptr || OutDegree(v) == 0) return true;
-    return ProbeRun(out_runs_[v], listener);
-  }
-  bool ProbeInEdges(NodeId v, const std::shared_ptr<PageFetchListener>&
-                                  listener = nullptr) const {
-    if (base_ != nullptr) {
-      if (InDegree(v) == 0 || delta_in_start_[v] != kNoDeltaRun) return true;
-      return base_->ProbeInEdges(v, listener);
-    }
-    if (store_ == nullptr || InDegree(v) == 0) return true;
-    return ProbeRun(in_runs_[v], listener);
-  }
-
   size_t OutDegree(NodeId v) const {
     return out_offsets_[v + 1] - out_offsets_[v];
   }
@@ -233,8 +207,6 @@ class Graph {
 
   std::span<const Edge> PagedRun(PageRunRef run, size_t count,
                                  PagePin* pin) const;
-  bool ProbeRun(PageRunRef run,
-                const std::shared_ptr<PageFetchListener>& listener) const;
 
   std::vector<size_t> out_offsets_;  // |V|+1
   std::vector<Edge> out_edges_;

@@ -288,7 +288,7 @@ ClientStream Client::Subscribe(const std::vector<std::string>& keywords,
                                Algorithm algorithm,
                                const SearchOptions& options,
                                double deadline_seconds) {
-  return Open(FrameType::kSubscribe, keywords, algorithm, options,
+  return Open(FrameType::kQuery, keywords, algorithm, options,
               deadline_seconds, 0);
 }
 

@@ -122,7 +122,8 @@ class Client {
                           double deadline_seconds = 0,
                           uint64_t initial_credits = 0);
 
-  /// Opens a push subscription (server-managed credit window).
+  /// Opens a push subscription (server-managed credit window): the
+  /// same kQuery request Query drains, returned as a stream.
   ClientStream Subscribe(const std::vector<std::string>& keywords,
                          Algorithm algorithm,
                          const SearchOptions& options = {},

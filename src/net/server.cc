@@ -520,12 +520,10 @@ bool Server::Dispatch(Conn* conn, const FrameHeader& header,
   switch (type) {
     case FrameType::kQuery:
     case FrameType::kOpenStream:
-    case FrameType::kSubscribe:
       OpenRequest(conn, type, header.request_id, payload, header.payload_bytes);
       return true;
 
-    case FrameType::kNext:
-    case FrameType::kAddCredits: {
+    case FrameType::kNext: {
       uint64_t credits = reader.U64();
       if (!reader.Done()) {
         SendError(conn, header.request_id, ErrorCode::kBadPayload,

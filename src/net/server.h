@@ -33,7 +33,7 @@ struct ServerOptions {
   /// error (kBadFrame) and close the connection.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
-  /// Delivery-credit window of push requests (kQuery / kSubscribe): the
+  /// Delivery-credit window of push requests (kQuery): the
   /// scheduler may run at most this many answers ahead of what the
   /// kernel has accepted for transmission. Each answer frame fully
   /// flushed to the socket grants one credit back, so kernel send-buffer

@@ -8,8 +8,6 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kQuery: return "Query";
     case FrameType::kOpenStream: return "OpenStream";
     case FrameType::kNext: return "Next";
-    case FrameType::kSubscribe: return "Subscribe";
-    case FrameType::kAddCredits: return "AddCredits";
     case FrameType::kCancel: return "Cancel";
     case FrameType::kPing: return "Ping";
     case FrameType::kHelloOk: return "HelloOk";
@@ -191,7 +189,6 @@ void WriteMetrics(WireWriter* w, const SearchMetrics& m) {
   w->U64(m.answers_output);
   w->U64(m.page_hits);
   w->U64(m.page_misses);
-  w->U64(m.page_waits);
   w->U64(m.io_errors);
   w->F64(m.elapsed_seconds);
   w->U32(static_cast<uint32_t>(m.generated_times.size()));
@@ -210,7 +207,6 @@ bool ReadMetrics(WireReader* r, SearchMetrics* out) {
   out->answers_output = r->U64();
   out->page_hits = r->U64();
   out->page_misses = r->U64();
-  out->page_waits = r->U64();
   out->io_errors = r->U64();
   out->elapsed_seconds = r->F64();
   size_t gen = r->Count(8);

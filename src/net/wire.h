@@ -29,7 +29,7 @@ namespace banks::net {
 /// Connection-level errors (malformed frame, missing Hello) use
 /// request_id 0.
 
-inline constexpr uint8_t kProtocolVersion = 2;
+inline constexpr uint8_t kProtocolVersion = 3;
 
 /// First payload word of a Hello request ("BKS1") — rejects random
 /// connects and endianness mismatches before anything else is parsed.
@@ -47,9 +47,9 @@ enum class FrameType : uint8_t {
   kHello = 1,       // must be the first frame on a connection
   kQuery = 2,       // push-all: server-managed credit window
   kOpenStream = 3,  // pull: answers flow only against kNext credits
-  kNext = 4,        // add pull credits to an open stream
-  kSubscribe = 5,   // push subscription (window-credited like kQuery)
-  kAddCredits = 6,  // extra delivery credits for any open request
+  kNext = 4,        // extra delivery credits for any open request
+  // 5 and 6 are retired (v2's Subscribe and AddCredits): kQuery and
+  // kNext carry the same requests.
   kCancel = 7,      // cancel an open request (terminal kCancelled follows)
   kPing = 8,        // liveness probe; payload echoed back in kPong
 
@@ -74,7 +74,7 @@ enum class ErrorCode : uint16_t {
 
   kBadPayload = 32,        // payload failed to decode for this frame type
   kUnknownType = 33,       // frame type the server does not handle
-  kUnknownRequest = 34,    // kNext/kAddCredits/kCancel for an unknown id
+  kUnknownRequest = 34,    // kNext/kCancel for an unknown id
   kDuplicateRequest = 35,  // request_id already open on this connection
   kShuttingDown = 36,      // server is draining; no new requests
 };
@@ -197,7 +197,7 @@ struct HelloReply {
   std::string server_name;
 };
 
-/// Payload of kQuery / kOpenStream / kSubscribe: the search spec,
+/// Payload of kQuery / kOpenStream: the search spec,
 /// carrying every SearchOptions field.
 struct SearchRequest {
   Algorithm algorithm = Algorithm::kBidirectional;
@@ -205,8 +205,8 @@ struct SearchRequest {
   /// Whole-request deadline in seconds (0 = none), enforced by the
   /// scheduler (SubscribeOptions::deadline_seconds).
   double deadline_seconds = 0;
-  /// kOpenStream only: initial pull credits (kQuery/kSubscribe use the
-  /// server's writability-granted window instead).
+  /// kOpenStream only: initial pull credits (kQuery uses the server's
+  /// writability-granted window instead).
   uint64_t initial_credits = 0;
   std::vector<std::string> keywords;
 };

@@ -266,34 +266,6 @@ SearchStatus BackwardMISearcher::Resume(
       break;
     }
     if (slice.PauseDue()) return slice.Pause();
-    if (ctx.page_listener != nullptr && graph_.paged()) {
-      // Page-wait protocol (docs/STORAGE.md): before committing to the
-      // pop, check that the node it would settle has its adjacency page
-      // pooled; on a miss, queue the fetch and detach the quantum
-      // instead of blocking the worker. peek_dist's lazy stale-entry
-      // pruning is deterministic and result-neutral, so a retried slice
-      // replays this decision identically. Past the retry cap (e.g.
-      // concurrent tasks keep evicting our fetched page) the probe is
-      // skipped for one pop and its pins block synchronously —
-      // guaranteed progress, identical results.
-      if (ctx.stream.page_fault_retries >=
-          SearchContext::StreamState::kMaxPageFaultRetries) {
-        ctx.stream.page_fault_retries = 0;
-      } else {
-        const auto [head_dist, head_iter] = scheduler.front();
-        const double head_actual = peek_dist(head_iter);
-        if (head_actual != kInf && head_actual <= head_dist + 1e-12) {
-          const NodeId head_node =
-              ctx.frontiers.Segment(head_iter).front().second;
-          const BackwardReach* hr = ctx.reach_maps[head_iter].Find(head_node);
-          if (hr != nullptr && hr->hops < options_.dmax &&
-              !graph_.ProbeInEdges(head_node, ctx.page_listener)) {
-            return slice.PageWait();
-          }
-        }
-        ctx.stream.page_fault_retries = 0;
-      }
-    }
     auto [sched_dist, iter_id] = sched_pop();
     double actual = peek_dist(iter_id);
     if (actual == kInf) continue;  // exhausted iterator

@@ -215,31 +215,6 @@ SearchStatus BackwardSISearcher::Resume(
       break;
     }
     if (slice.PauseDue()) return slice.Pause();
-    if (ctx.page_listener != nullptr && graph_.paged()) {
-      // Page-wait protocol (docs/STORAGE.md): before committing to the
-      // pop, check that the expansion it would trigger has its adjacency
-      // page pooled; on a miss, queue the fetch and detach the quantum
-      // instead of blocking the worker on the read. The probe mutates
-      // nothing, so the retried slice replays this decision identically.
-      // Past the retry cap (e.g. concurrent tasks keep evicting our
-      // fetched page) the probe is skipped for one pop and its pins
-      // block synchronously — guaranteed progress, identical results.
-      if (ctx.stream.page_fault_retries >=
-          SearchContext::StreamState::kMaxPageFaultRetries) {
-        ctx.stream.page_fault_retries = 0;
-      } else {
-        const QE& head = frontier.front();
-        const BackwardReach* hr = reach(head.keyword).Find(head.node);
-        const bool will_expand = hr != nullptr && !hr->settled &&
-                                 head.dist <= hr->dist + 1e-12 &&
-                                 hr->hops < options_.dmax;
-        if (will_expand &&
-            !graph_.ProbeInEdges(head.node, ctx.page_listener)) {
-          return slice.PageWait();
-        }
-        ctx.stream.page_fault_retries = 0;
-      }
-    }
     QE top = frontier_pop();
     BackwardReach& r = reach(top.keyword)[top.node];
     if (r.settled || top.dist > r.dist + 1e-12) continue;  // stale entry

@@ -495,30 +495,6 @@ SearchStatus BidirectionalSearcher::Resume(
         qout.empty() ||
         (!qin.empty() && !(qin.TopPriority() < qout.TopPriority()));
 
-    if (ctx.page_listener != nullptr && graph_.paged()) {
-      // Page-wait protocol (docs/STORAGE.md): before committing to the
-      // pop, check that the expansion it would trigger has its adjacency
-      // page pooled; on a miss, queue the fetch and detach the quantum
-      // instead of blocking the worker on the read. The probe mutates
-      // nothing, so the retried slice replays this decision identically.
-      // Past the retry cap (e.g. concurrent tasks keep evicting our
-      // fetched page) the probe is skipped for one pop and its pin
-      // blocks synchronously — guaranteed progress, identical results.
-      if (ss.page_fault_retries >=
-          SearchContext::StreamState::kMaxPageFaultRetries) {
-        ss.page_fault_retries = 0;
-      } else {
-        const uint32_t s = take_in ? qin.Top() : qout.Top();
-        if (depth_of[s] < options_.dmax) {
-          const bool ready =
-              take_in ? graph_.ProbeInEdges(node_of[s], ctx.page_listener)
-                      : graph_.ProbeOutEdges(node_of[s], ctx.page_listener);
-          if (!ready) return slice.PageWait();
-        }
-        ss.page_fault_retries = 0;
-      }
-    }
-
     // NOTE: get_state() may reallocate the per-state arrays; never hold a
     // reference into them across it — copy what we need into locals.
     if (take_in) {

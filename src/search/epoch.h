@@ -21,9 +21,9 @@ namespace banks {
 /// pin until the terminal transition (drained, done, cancelled, IO
 /// error), a scheduler task carries it in TaskSpec and the scheduler
 /// releases it in the same terminal step that detaches the context —
-/// including while the task is parked (credit-wait, admission queue,
-/// page-wait), which is why a parked task holds an epoch pin even with
-/// zero context leases.
+/// including while the task is parked (credit-wait, admission queue),
+/// which is why a parked task holds an epoch pin even with zero context
+/// leases.
 struct EpochPin {
   std::shared_ptr<const void> snapshot;
   uint64_t epoch = 0;

@@ -31,17 +31,14 @@ struct SearchMetrics {
   uint64_t answers_output = 0;
 
   /// Buffer-pool outcomes of the paged-graph adjacency/posting reads
-  /// this search performed, and the number of kPageWait pauses taken.
-  /// Like elapsed_seconds these are *execution-dependent*, not part of
-  /// the deterministic contract: whether a page is pooled when touched
-  /// depends on pool size, eviction history and concurrent queries, so
-  /// differential tests must exclude them (answers and the counters
-  /// above stay byte-identical regardless). All zero on resident graphs.
-  /// A read the search parked on (kPageWait) counts as a miss once its
-  /// pin completes, although the fetch made the page resident.
+  /// this search performed. Like elapsed_seconds these are
+  /// *execution-dependent*, not part of the deterministic contract:
+  /// whether a page is pooled when touched depends on pool size,
+  /// eviction history and concurrent queries, so differential tests
+  /// must exclude them (answers and the counters above stay
+  /// byte-identical regardless). All zero on resident graphs.
   uint64_t page_hits = 0;
   uint64_t page_misses = 0;
-  uint64_t page_waits = 0;
 
   /// Failed page reads observed by this search (PagePin::failed); the
   /// slice that sees one ends with SearchStatus::kIoError. Execution-

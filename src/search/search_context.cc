@@ -19,7 +19,6 @@ void SearchContext::StreamState::Reset() {
   m.answers_output = 0;
   m.page_hits = 0;
   m.page_misses = 0;
-  m.page_waits = 0;
   m.io_errors = 0;
   m.elapsed_seconds = 0;
   m.generated_times.clear();
@@ -29,8 +28,6 @@ void SearchContext::StreamState::Reset() {
   last_progress = 0;
   last_top = -1;
   elapsed = 0;
-  page_fault_retries = 0;
-  page_fetch_pending = false;
 }
 
 void SearchContext::BeginQuery(size_t num_keywords) {

@@ -18,8 +18,6 @@
 
 namespace banks {
 
-class PageFetchListener;  // storage/buffer_pool.h
-
 /// Arena for the explored-edge lists P_u / C_u of the Bidirectional
 /// algorithm (Figure 2 of the paper).
 ///
@@ -244,38 +242,11 @@ class SearchContext {
     /// excluded, so answer timestamps stay in search time).
     double elapsed = 0;
 
-    /// Consecutive slices that ended in kPageWait without an
-    /// intervening successful probe. When a search's per-step working
-    /// set exceeds the buffer pool (or concurrent tasks keep evicting
-    /// each other's fetches), the probe/fetch/retry cycle can otherwise
-    /// thrash forever; past kMaxPageFaultRetries the searchers skip the
-    /// probe for one step and fall back to blocking pins, which always
-    /// make progress. Bumped by SliceGuard::PageWait, cleared by a
-    /// successful probe (results are unaffected either way).
-    uint32_t page_fault_retries = 0;
-
-    /// Probe-skip threshold for the thrash escape above.
-    static constexpr uint32_t kMaxPageFaultRetries = 3;
-
-    /// Set when a slice ends in kPageWait; the next adjacency pin books
-    /// as a page miss (SliceGuard::BookPin) and clears it.
-    bool page_fetch_pending = false;
-
     /// Forgets the current query, keeping result-vector capacity.
     void Reset();
   };
 
   StreamState stream;
-
-  /// Page-fault notification target for the serving scheduler's
-  /// page-wait protocol (docs/SERVING.md, docs/STORAGE.md). When set,
-  /// a searcher running on a paged graph *probes* the page of its next
-  /// expansion before committing to it; on a miss it queues an async
-  /// fetch through this listener and returns SearchStatus::kPageWait
-  /// instead of blocking its thread on the read. Null (the default, and
-  /// always for plain Query/stream paths) makes paged pins block
-  /// synchronously — same results, thread-occupying waits.
-  std::shared_ptr<PageFetchListener> page_listener;
 
   /// Moves the resumable control state out of this context and resets
   /// the husk, leaving the context immediately warm-reusable. This is

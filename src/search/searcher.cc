@@ -13,10 +13,7 @@ bool SliceGuard::BookPin(const PagePin& pin) const {
     ++m.io_errors;
     return false;
   }
-  if (!pin.empty()) {
-    ++(pin.hit() && !ss_->page_fetch_pending ? m.page_hits : m.page_misses);
-    ss_->page_fetch_pending = false;
-  }
+  if (!pin.empty()) ++(pin.hit() ? m.page_hits : m.page_misses);
   return true;
 }
 

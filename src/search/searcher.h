@@ -57,13 +57,6 @@ struct StepLimits {
 enum class SearchStatus : uint8_t {
   kRunning,   // paused by a StepLimits bound; call Resume again to go on
   kDone,      // search complete: answers and metrics are final
-  kPageWait,  // paused on a paged-graph page fault: the next expansion
-              // needs a page that is not pooled. Only returned when the
-              // context carries a page_listener (the serving scheduler's
-              // page-wait protocol); an async fetch has been queued and
-              // exactly one OnPageReady will follow per OnFetchQueued
-              // fired during the slice. Resume again after it fires.
-              // Without a listener the pin blocks synchronously instead.
   kIoError,   // terminal: a page read failed (truncated or unreadable
               // backing file) and the search cannot proceed without
               // fabricating adjacency. The stream is marked done; the
@@ -154,24 +147,10 @@ class SliceGuard {
     return SearchStatus::kRunning;
   }
 
-  /// Books elapsed time like Pause() but reports a page fault: the next
-  /// expansion's page is being fetched asynchronously; resume when the
-  /// context's page listener hears OnPageReady.
-  SearchStatus PageWait() const {
-    ss_->result.metrics.elapsed_seconds = timer_->ElapsedSeconds();
-    ss_->elapsed = ss_->result.metrics.elapsed_seconds;
-    ++ss_->result.metrics.page_waits;
-    ++ss_->page_fault_retries;
-    ss_->page_fetch_pending = true;
-    return SearchStatus::kPageWait;
-  }
-
   /// Books the buffer-pool outcome of one adjacency pin into the page
-  /// metrics. The first pin after a kPageWait counts as a miss even
-  /// though the fetch made the page resident: the read missed the pool,
-  /// it was just served while the search was parked. False (after
-  /// counting the error) when the read failed — the expansion saw a
-  /// partial neighbourhood and the caller must end with IoError().
+  /// metrics, hit or miss as the pin saw it. False (after counting the
+  /// error) when the read failed — the expansion saw a partial
+  /// neighbourhood and the caller must end with IoError().
   bool BookPin(const PagePin& pin) const;
 
   /// Terminal page-read failure: books elapsed time, marks the stream

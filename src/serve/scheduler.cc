@@ -4,8 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "storage/buffer_pool.h"
-
 namespace banks {
 
 const char* SubscribeStatusName(SubscribeStatus status) {
@@ -40,10 +38,6 @@ struct Subscription::Task {
     kExecuting,   // a worker is running its quantum / delivery slice
     kCreditWait,  // search done, answers undelivered, no credits;
                   // detached — holds StreamState only, no context
-    kPageWait,    // quantum faulted on a non-resident page; parked until
-                  // the BufferPool fetch thread delivers it. Keeps its
-                  // context lease AND run slot (only the worker is
-                  // released), so resumption is attach-free.
     kFinished,    // terminal status set
   };
 
@@ -70,61 +64,8 @@ struct Subscription::Task {
   uint64_t credits = kUnlimitedCredits;
   size_t delivered = 0;   // answers pushed to the sink so far
   uint64_t quanta = 0;    // quanta this task received
-  size_t pending_pages = 0;  // page fetches queued but not yet resident
-  std::shared_ptr<FaultWaiter> waiter;   // created at first attach
   SearchContextPool::Lease lease;        // attached between quanta
   SearchContext::StreamState state;      // live once detached
-};
-
-/// The listener a task's search carries into its quanta
-/// (SearchContext::page_listener). The searcher's probe calls
-/// OnFetchQueued once per missing page before returning kPageWait; the
-/// BufferPool fires exactly one OnPageReady per OnFetchQueued (from its
-/// fetch thread, or inline when the page turned resident meanwhile —
-/// never with the pool lock held, so taking mu_ here cannot deadlock).
-/// The last OnPageReady of a parked task requeues it.
-struct FaultWaiter : PageFetchListener {
-  FaultWaiter(Scheduler* scheduler, std::weak_ptr<Subscription::Task> task)
-      : scheduler(scheduler), task(std::move(task)) {}
-
-  void OnFetchQueued(PageId) override {
-    std::shared_ptr<Subscription::Task> t = task.lock();
-    std::lock_guard<std::mutex> lock(scheduler->mu_);
-    ++scheduler->inflight_fetches_;
-    if (t != nullptr) ++t->pending_pages;
-  }
-
-  void OnPageReady(PageId) override {
-    std::shared_ptr<Subscription::Task> t = task.lock();
-    bool wake = false;
-    {
-      std::lock_guard<std::mutex> lock(scheduler->mu_);
-      if (scheduler->inflight_fetches_ > 0 &&
-          --scheduler->inflight_fetches_ == 0) {
-        // Notify WHILE HOLDING mu_: a destructor waiting for the drain
-        // may otherwise free the cv between our unlock and the notify.
-        scheduler->finish_cv_.notify_all();
-      }
-      if (t == nullptr) return;
-      if (t->pending_pages > 0) --t->pending_pages;
-      // Only a PARKED task transitions here. A ready fired while the
-      // task was still kExecuting is caught by the worker's
-      // post-quantum pending_pages == 0 check; a finished task ignores
-      // stragglers.
-      if (t->pending_pages == 0 &&
-          t->phase == Subscription::Task::Phase::kPageWait) {
-        t->phase = Subscription::Task::Phase::kRunnable;
-        scheduler->EnqueueLocked(t);
-        wake = true;
-      }
-    }
-    // Past shutdown every task is finished, so wake is false and the
-    // scheduler is not touched after the unlock above.
-    if (wake) scheduler->work_cv_.notify_one();
-  }
-
-  Scheduler* scheduler;
-  std::weak_ptr<Subscription::Task> task;
 };
 
 namespace {
@@ -232,17 +173,12 @@ Scheduler::~Scheduler() {
   // Workers are joined, so no task is kExecuting anymore.
   std::vector<std::shared_ptr<Task>> leftovers;
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     while (!open_.empty()) {
       std::shared_ptr<Task> task = open_.back();
       FinishLocked(task, SubscribeStatus::kShutdown);
       leftovers.push_back(std::move(task));
     }
-    // Fault waiters hold a raw Scheduler*: wait out any page fetches
-    // still in flight so their OnPageReady runs against a live object.
-    // (Every task is finished by now, so those callbacks do nothing but
-    // decrement this counter.)
-    finish_cv_.wait(lock, [&] { return inflight_fetches_ == 0; });
   }
   for (const auto& task : leftovers) CompleteOutside(task);
 }
@@ -272,7 +208,6 @@ Subscription Scheduler::Submit(TaskSpec spec) {
     }
     auto bill_tenant = [&] {
       Tenant& tenant = tenants_[task->tenant];
-      if (spec.weight > 0) tenant.weight = spec.weight;
       // Stride fairness: a tenant going idle→active joins at the
       // current virtual time instead of catching up on service it
       // never asked for.
@@ -307,8 +242,7 @@ Subscription Scheduler::Submit(TaskSpec spec) {
       task->phase = Task::Phase::kFinished;
       task->epoch_pin.Release();  // never ran: no reason to hold the epoch
     } else if (task->deadline_at > 0) {
-      wheel_.Schedule(task->id, task->deadline_at);
-      by_id_[task->id] = task;
+      deadlines_.emplace(std::pair(task->deadline_at, task->id), task);
     }
   }
   if (rejected) {
@@ -339,9 +273,6 @@ Scheduler::Stats Scheduler::Snapshot() const {
       case Task::Phase::kCreditWait:
         ++stats.credit_waiting;
         break;
-      case Task::Phase::kPageWait:
-        ++stats.page_waiting;
-        break;
       default:
         break;
     }
@@ -362,7 +293,7 @@ Scheduler::Stats Scheduler::Snapshot() const {
   }
   for (const auto& [name, tenant] : tenants_) {
     stats.tenants.push_back(
-        {name, tenant.weight, tenant.quanta, tenant.answers, tenant.open});
+        {name, tenant.quanta, tenant.answers, tenant.open});
   }
   return stats;
 }
@@ -371,14 +302,13 @@ void Scheduler::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     if (RunOneLocked(lock)) continue;
-    double next = NextDeadlineLocked();
-    if (next > 0) {
-      double delay = next - NowSeconds();
-      if (delay <= 0) continue;  // due already: loop back to the sweep
-      work_cv_.wait_for(lock, std::chrono::duration<double>(delay));
-    } else {
+    if (deadlines_.empty()) {
       work_cv_.wait(lock);
+      continue;
     }
+    const double delay = deadlines_.begin()->first.first - NowSeconds();
+    if (delay <= 0) continue;  // due already: loop back to the sweep
+    work_cv_.wait_for(lock, std::chrono::duration<double>(delay));
   }
 }
 
@@ -412,19 +342,17 @@ bool Scheduler::SweepLocked(std::unique_lock<std::mutex>& lock) {
     if (task->phase == Task::Phase::kExecuting) continue;
     finish(task, SubscribeStatus::kCancelled);
   }
-  // Deadlines fire from the timer wheel: only the tick range since the
-  // last sweep is walked, and each expiry is O(1) amortized.
-  std::vector<uint64_t> expired;
-  wheel_.AdvanceTo(NowSeconds(), &expired);
-  for (uint64_t id : expired) {
-    auto it = by_id_.find(id);
-    if (it == by_id_.end()) continue;
-    std::shared_ptr<Task> task = it->second;
+  // Deadlines: pop every key at or before now off the front of the
+  // map. A deadline never fires early (its key must be <= now), and a
+  // popped task is finished at most once (terminal tasks are skipped).
+  const double now = NowSeconds();
+  while (!deadlines_.empty() && deadlines_.begin()->first.first <= now) {
+    std::shared_ptr<Task> task = std::move(deadlines_.begin()->second);
+    deadlines_.erase(deadlines_.begin());
     if (task->terminal != SubscribeStatus::kPending) continue;
     if (task->cancel_requested) continue;  // worker/queue already owns it
-    // kExecuting: the worker's post-quantum check runs at a time >= the
-    // fire time >= the deadline, so it is guaranteed to expire the task
-    // itself — dropping the fired timer here loses nothing.
+    // kExecuting: the worker's post-quantum check runs at a time >= now
+    // >= the deadline, so it is guaranteed to expire the task itself.
     if (task->phase == Task::Phase::kExecuting) continue;
     finish(task, SubscribeStatus::kDeadlineExpired);
   }
@@ -452,7 +380,7 @@ auto Scheduler::PickLocked() -> std::shared_ptr<Task> {
   std::shared_ptr<Task> task = std::move(best->runnable.front());
   best->runnable.pop_front();
   global_pass_ = best->pass;
-  best->pass += 1.0 / std::max(best->weight, 1e-9);
+  best->pass += 1;
   ++best->quanta;
   ++counters_.quanta;
   ++task->quanta;
@@ -465,7 +393,6 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
   Task& t = *task;
   double now = NowSeconds();
   bool due = (t.deadline_at > 0 && now >= t.deadline_at) || t.cancel_requested;
-  bool page_faulted = false;
   bool io_failed = false;
   if (!due && !t.detached) {
     if (!t.lease) {
@@ -473,14 +400,8 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
       // admission, so this never exceeds max_running leases.
       t.lease = pool_.Acquire();
       t.lease->stream.Reset();
-      // Arm the page-fault listener unconditionally: a resident graph
-      // never probes it, a paged graph turns page misses into quantum
-      // boundaries instead of blocking this worker on disk.
-      if (t.waiter == nullptr) {
-        t.waiter = std::make_shared<FaultWaiter>(this, task);
-      }
-      t.lease->page_listener = t.waiter;
     }
+    SearchContext* context = t.lease.get();
     StepLimits limits;
     limits.max_steps = options_.quantum_steps;
     limits.deadline_seconds = options_.quantum_seconds;
@@ -491,18 +412,22 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
         limits.deadline_seconds = remaining;
       }
     }
+    // Time to first answer: until the task has released an answer, its
+    // quantum ends at the first release, so the answer is delivered now
+    // rather than when the step or time budget runs out.
+    if (context->stream.result.answers.empty()) limits.release_target = 1;
+    const uint64_t misses_before = context->stream.result.metrics.page_misses;
     const Searcher* searcher = t.searcher.get();
-    SearchContext* context = t.lease.get();
     const auto& origins = t.origins;
     lock.unlock();  // the quantum itself runs without the lock
     SearchStatus status = searcher->Resume(origins, context, limits);
     lock.lock();
     t.search_done = status == SearchStatus::kDone;
-    page_faulted = status == SearchStatus::kPageWait;
     io_failed = status == SearchStatus::kIoError;
-    // Every page-fault quantum counts, parked or not: the same event
-    // the search's own SearchMetrics::page_waits counts.
-    if (page_faulted) ++counters_.page_waits;
+    // A quantum that missed the buffer pool read pages on this worker.
+    if (context->stream.result.metrics.page_misses != misses_before) {
+      ++counters_.page_waits;
+    }
   }
   DeliverLocked(lock, task);
   // Post-quantum decision. Deadline/cancel win over completion so the
@@ -522,23 +447,8 @@ void Scheduler::ExecuteLocked(std::unique_lock<std::mutex>& lock,
     // The searcher hit a failed page read and ended the stream at a
     // consistent boundary (SearchStatus::kIoError is terminal). Answers
     // already delivered stand; anything undelivered rides out with the
-    // terminal metrics. The retry that could make this transient
-    // already happened inside the quantum (kMaxPageFaultRetries).
+    // terminal metrics.
     finish(SubscribeStatus::kIoError);
-  } else if (page_faulted) {
-    // The searcher queued async fetches (OnFetchQueued bumped
-    // pending_pages) and returned at a consistent quantum boundary.
-    if (t.pending_pages == 0) {
-      // Every OnPageReady already landed — the fetch raced ahead of
-      // this decision — so there is nothing to park on.
-      t.phase = Task::Phase::kRunnable;
-      EnqueueLocked(task);
-    } else {
-      // Park: keep the context lease and run slot, release only this
-      // worker. FaultWaiter::OnPageReady requeues the task when the
-      // last pending page lands.
-      t.phase = Task::Phase::kPageWait;
-    }
   } else if (t.search_done) {
     size_t total = (t.detached ? t.state : t.lease->stream).result.answers.size();
     if (t.delivered >= total) {
@@ -632,10 +542,7 @@ void Scheduler::FinishLocked(const std::shared_ptr<Task>& task,
   // terminal step that detached the context, so snapshot reclamation
   // counts parked tasks (they reach here too) but never a live search.
   t.epoch_pin.Release();
-  if (t.deadline_at > 0) {
-    wheel_.Cancel(t.id);
-    by_id_.erase(t.id);
-  }
+  if (t.deadline_at > 0) deadlines_.erase(std::pair(t.deadline_at, t.id));
   Tenant& tenant = tenants_[t.tenant];
   if (tenant.open > 0) --tenant.open;
   auto it = std::find(open_.begin(), open_.end(), task);
@@ -664,12 +571,6 @@ void Scheduler::EnqueueLocked(const std::shared_ptr<Task>& task) {
 
 void Scheduler::DetachLocked(const std::shared_ptr<Task>& task) {
   Task& t = *task;
-  // The context returns to the pool: strip this task's fault listener
-  // so the next task attaching to it doesn't inherit a stale waiter.
-  // (In-flight fetches still hold their own reference to the waiter;
-  // late OnPageReady calls see a finished/parked-no-more task and
-  // no-op.)
-  t.lease->page_listener.reset();
   t.state = t.lease->DetachStream();
   t.lease.Reset();  // pool mutex nests under mu_; the pool calls nothing back
   t.detached = true;
@@ -677,13 +578,6 @@ void Scheduler::DetachLocked(const std::shared_ptr<Task>& task) {
     t.holds_slot = false;
     --slots_used_;
   }
-}
-
-double Scheduler::NextDeadlineLocked() const {
-  // The wheel's earliest fire boundary, not the raw deadline: workers
-  // sleeping until the boundary wake exactly when AdvanceTo will fire
-  // the timer, instead of one sub-tick early (which would spin).
-  return wheel_.NextFireTime();
 }
 
 }  // namespace banks

@@ -10,19 +10,16 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "search/context_pool.h"
 #include "search/epoch.h"
 #include "search/searcher.h"
 #include "serve/answer_sink.h"
-#include "serve/timer_wheel.h"
 #include "util/timer.h"
 
 namespace banks {
-
-struct FaultWaiter;  // page-fault listener bridging BufferPool → Scheduler
 
 /// "No delivery credit limit": answers are pushed as soon as released.
 inline constexpr uint64_t kUnlimitedCredits =
@@ -63,13 +60,8 @@ struct SubscribeOptions {
 
   /// Fair-queueing tenant this subscription bills to ("" is the default
   /// tenant). Runnable tasks are served per-tenant by stride scheduling:
-  /// a tenant with weight w receives quanta in proportion w : w' against
-  /// any other backlogged tenant.
+  /// every backlogged tenant receives an equal share of quanta.
   std::string tenant;
-
-  /// Fair-queueing weight of the tenant (last Subscribe wins; must be
-  /// > 0). Weights are a tenant property, not a task property.
-  double weight = 1.0;
 
   /// Whole-subscription deadline in seconds from Subscribe (0 = none),
   /// covering queueing, search AND delivery. Enforced by the scheduler:
@@ -95,12 +87,11 @@ struct TaskSpec {
   std::vector<std::vector<NodeId>> origins;     // resolved origin sets
   AnswerSink* sink = nullptr;                   // outlives the task
   std::string tenant;
-  double weight = 1.0;
   double deadline_seconds = 0;
   uint64_t answer_credits = kUnlimitedCredits;
   /// Engine-epoch hold (docs/UPDATES.md): keeps the snapshot the
   /// searcher was built against alive for the task's whole life —
-  /// through admission queueing, credit waits and page-wait parks —
+  /// through admission queueing and credit waits —
   /// released in the terminal transition alongside the context detach.
   EpochPin epoch_pin;
 };
@@ -147,7 +138,6 @@ class Subscription {
 
  private:
   friend class Scheduler;
-  friend struct FaultWaiter;
   struct Task;
   Subscription(Scheduler* scheduler, std::shared_ptr<Task> task)
       : scheduler_(scheduler), task_(std::move(task)) {}
@@ -163,7 +153,7 @@ class Subscription {
 /// PR 5 made every search a resumable state machine; a search is
 /// therefore already a coroutine, and one scheduling quantum is just
 /// `Searcher::Resume` under a small StepLimits budget. The scheduler
-/// owns the loop around that: per-tenant weighted fair queueing (stride
+/// owns the loop around that: per-tenant fair queueing (stride
 /// scheduling over runnable tasks), admission control with queue-depth
 /// backpressure, scheduler-enforced deadlines, and context
 /// detach/re-attach so idle tasks hold compact StreamState instead of a
@@ -171,12 +161,9 @@ class Subscription {
 ///
 ///  * a task WAITING FOR ADMISSION holds nothing but its spec;
 ///  * a task acquires its pooled SearchContext at its first quantum
-///    (attach) and keeps it between quanta while the search runs;
-///  * a quantum that faults on a non-resident graph page is a quantum
-///    boundary: the task parks (page-wait) releasing only its WORKER —
-///    the context lease and run slot stay put, so max_running keeps
-///    meaning "contexts" — and requeues when the BufferPool fetch
-///    thread reports the missing pages resident;
+///    (attach) and keeps it between quanta while the search runs; a
+///    quantum on a paged graph reads the pages it misses on its worker,
+///    like any other BufferPool::Pin;
 ///  * at search completion — or cancel/deadline — the StreamState is
 ///    moved out and the context released warm (detach), so a task
 ///    waiting for sink credit with undelivered answers holds only that
@@ -184,7 +171,10 @@ class Subscription {
 ///
 /// Delivery: after each quantum the executing worker pushes newly
 /// released answers to the task's sink, in release order, up to the
-/// available credits. A task's callbacks never run concurrently.
+/// available credits. Until a task has released its first answer, its
+/// quantum also ends at that release, so the first answer reaches the
+/// sink without waiting out the rest of the quantum. A task's callbacks
+/// never run concurrently.
 ///
 /// Determinism: the scheduler never changes what a search computes —
 /// quanta only decide when Resume returns — so the delivered answer
@@ -195,7 +185,6 @@ class Scheduler {
   /// Scheduler::Stats snapshot (see Snapshot()).
   struct TenantStats {
     std::string tenant;
-    double weight = 1.0;
     uint64_t quanta = 0;     // service received (quanta executed)
     uint64_t answers = 0;    // answers delivered
     size_t open_tasks = 0;   // live subscriptions billed to this tenant
@@ -206,15 +195,14 @@ class Scheduler {
     size_t executing = 0;        // a worker is running their quantum
     size_t admission_queued = 0; // waiting for a run slot; no context
     size_t credit_waiting = 0;   // search done, delivery stalled; no context
-    size_t page_waiting = 0;     // parked on an async page fetch; keeps
-                                 // its context lease and run slot
+    size_t page_waiting = 0;     // always 0: no task parks on a page read
     size_t contexts_attached = 0;  // tasks currently holding a pool lease
     // Epoch-pin gauges (instantaneous): how many distinct engine epochs
     // open tasks hold pins on, and the oldest such epoch (0 when none).
-    // Parked tasks — admission-queued, credit-waiting, page-waiting —
-    // count here even though they hold zero context leases: the pin
-    // lives exactly as long as the task, so oldest_live_epoch bounds
-    // which snapshots update reclamation can free.
+    // Parked tasks — admission-queued, credit-waiting — count here even
+    // though they hold zero context leases: the pin lives exactly as
+    // long as the task, so oldest_live_epoch bounds which snapshots
+    // update reclamation can free.
     size_t pinned_epochs = 0;
     uint64_t oldest_live_epoch = 0;
     // Cumulative counters.
@@ -227,7 +215,8 @@ class Scheduler {
     uint64_t completed = 0;
     uint64_t deadline_expired = 0;
     uint64_t cancelled = 0;
-    uint64_t page_waits = 0;  // quanta that ended on a page fault (kPageWait)
+    uint64_t page_waits = 0;  // quanta whose search read a page on the
+                              // worker (its page_misses grew)
     uint64_t io_errors = 0;   // tasks finished kIoError (failed page read)
     std::vector<TenantStats> tenants;  // sorted by tenant name
   };
@@ -277,12 +266,10 @@ class Scheduler {
 
  private:
   friend class Subscription;
-  friend struct FaultWaiter;
   using Task = Subscription::Task;
 
   struct Tenant {
-    double weight = 1.0;
-    double pass = 0;  // stride virtual time; min pass runs next
+    uint64_t pass = 0;  // stride virtual time; min pass runs next
     uint64_t quanta = 0;
     uint64_t answers = 0;
     size_t open = 0;  // live (non-terminal) tasks
@@ -292,9 +279,9 @@ class Scheduler {
   void WorkerLoop();
   /// One scheduling step with mu_ held (unlocks around callbacks).
   bool RunOneLocked(std::unique_lock<std::mutex>& lock);
-  /// Drains the cancel queue and fires due deadline timers (via the
-  /// timer wheel — O(1) amortized, not a scan of open tasks). Finishes
-  /// every cancelled/expired non-executing task. True if any finished.
+  /// Drains the cancel queue and pops due deadlines off the front of
+  /// deadlines_ (not a scan of open tasks). Finishes every
+  /// cancelled/expired non-executing task. True if any finished.
   bool SweepLocked(std::unique_lock<std::mutex>& lock);
   /// Moves admission-queue tasks into run slots while slots are free.
   void PromoteLocked();
@@ -320,8 +307,6 @@ class Scheduler {
   /// releases the lease (warm) + its run slot.
   void DetachLocked(const std::shared_ptr<Task>& task);
   double NowSeconds() const { return epoch_.ElapsedSeconds(); }
-  /// Earliest pending deadline fire time, from the wheel (0 = none).
-  double NextDeadlineLocked() const;
 
   const SchedulerOptions options_;
   SearchContextPool pool_;
@@ -332,22 +317,18 @@ class Scheduler {
   std::condition_variable finish_cv_;  // Subscription::Wait
   bool stop_ = false;
   uint64_t next_id_ = 1;
-  // OnPageReady callbacks still owed by BufferPool fetch threads. Fault
-  // waiters hold a raw Scheduler*, so the destructor waits this out
-  // before the mutex/cvs they use die with the scheduler.
-  size_t inflight_fetches_ = 0;
   size_t slots_used_ = 0;  // tasks holding (or promised) a context lease
-  double global_pass_ = 0; // virtual time: pass of the last picked tenant
+  uint64_t global_pass_ = 0;  // virtual time: pass of the last picked tenant
   std::deque<std::shared_ptr<Task>> admission_queue_;
   std::map<std::string, Tenant> tenants_;
   std::vector<std::shared_ptr<Task>> open_;  // all non-terminal tasks
   // Cancellation is push-based: Subscription::Cancel enqueues the task
   // here, so the sweep never scans open_ looking for cancel flags.
   std::deque<std::shared_ptr<Task>> cancel_queue_;
-  // Deadline expiry is timer-wheel-based: Submit arms a timer per
-  // deadlined task; by_id_ maps fired timer ids back to tasks.
-  TimerWheel wheel_;
-  std::unordered_map<uint64_t, std::shared_ptr<Task>> by_id_;
+  // Open tasks with a deadline, keyed (deadline_at, id) so begin() is
+  // the next to expire. Submit inserts, FinishLocked erases, the sweep
+  // pops due keys and idle workers sleep until begin()'s deadline.
+  std::map<std::pair<double, uint64_t>, std::shared_ptr<Task>> deadlines_;
   Stats counters_;  // cumulative fields only; depths computed on demand
   std::vector<std::thread> workers_;
 };

@@ -4,11 +4,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace banks {
@@ -28,12 +26,12 @@ struct PageRunRef {
 /// Sentinel PageRunRef::page marking a run that is inlined into the
 /// owner's resident skeleton instead of paged; `offset` then indexes
 /// the owner's inline run array, and the buffer pool is never touched
-/// (no pin, no hit/miss, probes always succeed).
+/// (no pin, no hit/miss).
 inline constexpr PageId kInlinePage = UINT32_MAX;
 
 /// Read-only page source backing a BufferPool. ReadPage may be called
-/// concurrently from pool clients and from the pool's fetch thread, so
-/// implementations must be thread-safe (the paged store uses pread).
+/// concurrently from the threads pinning pages, so implementations must
+/// be thread-safe (the paged store uses pread).
 /// ReadPage returns false when the page could not be read in full
 /// (truncated or unreadable file); the pool then fails the pins waiting
 /// on it instead of serving fabricated bytes.
@@ -43,21 +41,6 @@ class PageSource {
   virtual size_t NumPages() const = 0;
   virtual uint32_t PageLength(PageId page) const = 0;
   virtual bool ReadPage(PageId page, std::byte* out) const = 0;
-};
-
-/// Completion callback for asynchronous page fetches. The serving
-/// scheduler implements this to move a kPageWait task back to runnable;
-/// see docs/STORAGE.md ("Page-wait lifecycle"). OnPageReady runs either
-/// inline in RequestFetch (page already resident) or on the pool's
-/// fetch thread — never with the pool lock held, so implementations may
-/// take their own locks.
-class PageFetchListener {
- public:
-  virtual ~PageFetchListener() = default;
-  /// A fetch for `page` was queued on this listener's behalf; exactly
-  /// one OnPageReady(page) will follow.
-  virtual void OnFetchQueued(PageId page) { (void)page; }
-  virtual void OnPageReady(PageId page) = 0;
 };
 
 class BufferPool;
@@ -99,7 +82,7 @@ struct BufferPoolStats {
   uint64_t hits = 0;        // Pin found the page resident
   uint64_t misses = 0;      // Pin had to load (or wait for a load)
   uint64_t evictions = 0;   // resident pages dropped for room
-  uint64_t fetch_requests = 0;     // async fetches queued
+  uint64_t fetch_requests = 0;     // ReadPage calls (one per load)
   uint64_t capacity_overshoots = 0;  // loads forced past capacity_bytes
   uint64_t io_errors = 0;  // ReadPage failures (truncated/unreadable file)
   size_t resident_pages = 0;
@@ -116,10 +99,11 @@ struct BufferPoolOptions {
   size_t capacity_bytes = 4u << 20;
 };
 
-/// Pinned buffer pool over a PageSource. Synchronous Pin() blocks the
-/// caller on a miss; RequestFetch() queues the read on the pool's fetch
-/// thread and notifies a PageFetchListener, which is how a page miss
-/// becomes a scheduler quantum boundary instead of a blocked worker.
+/// Pinned buffer pool over a PageSource. Pin() is the only way to read a
+/// page: a miss reads it on the calling thread, and concurrent pins of
+/// the same page wait for that one read instead of issuing their own.
+/// The pool starts no thread (docs/STORAGE.md, "Reads block the pinning
+/// thread").
 ///
 /// Thread-safe. Pages are read-only: frames are never dirty and
 /// eviction never writes back.
@@ -134,17 +118,6 @@ class BufferPool {
   /// bytes; `pin` holds the frame until released. pin->hit() says
   /// whether this call was a pool hit.
   const std::byte* Pin(PageId page, PagePin* pin);
-
-  /// True when `page` is resident (loaded, not mid-fetch). A pure
-  /// probe: no pin, no counter update, no load triggered.
-  bool Resident(PageId page) const;
-
-  /// Queues an asynchronous load of `page`. Exactly one
-  /// listener->OnPageReady(page) follows per call: inline (before
-  /// returning) when the page is already resident, from the fetch
-  /// thread otherwise. Duplicate requests for an in-flight page attach
-  /// to the same read.
-  void RequestFetch(PageId page, std::shared_ptr<PageFetchListener> listener);
 
   BufferPoolStats stats() const;
   size_t capacity_bytes() const { return options_.capacity_bytes; }
@@ -161,7 +134,6 @@ class BufferPool {
     // that pinned mid-load drain, and the last Unpin frees it.
     bool failed = false;
     uint64_t stamp = 0;  // eviction order: the last pin (LRU)
-    std::vector<std::shared_ptr<PageFetchListener>> waiters;
   };
 
   void Unpin(size_t frame);
@@ -171,7 +143,6 @@ class BufferPool {
   // Returns `frame` (which must be unpinned and out of table_) to the
   // free list, releasing its bytes. Requires mu_ held.
   void FreeFrameLocked(size_t frame);
-  void FetchLoop();
 
   const PageSource* source_;
   const BufferPoolOptions options_;
@@ -184,15 +155,6 @@ class BufferPool {
   size_t resident_bytes_ = 0;
   uint64_t next_stamp_ = 1;
   BufferPoolStats counters_;
-
-  // Async fetch machinery. pending_ holds listeners for pages queued
-  // but not yet framed; once a frame exists they ride on its waiters.
-  std::deque<PageId> fetch_queue_;
-  std::unordered_map<PageId, std::vector<std::shared_ptr<PageFetchListener>>>
-      pending_;
-  std::condition_variable fetch_cv_;
-  bool stopping_ = false;
-  std::thread fetch_thread_;
 
   friend class PagePin;
 };

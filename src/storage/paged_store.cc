@@ -404,7 +404,6 @@ std::optional<PagedData> PagedStore::Open(const std::string& path,
 }
 
 PagedStore::~PagedStore() {
-  pool_.reset();  // joins the fetch thread before the fd goes away
   if (fd_ >= 0) ::close(fd_);
 }
 

@@ -4,10 +4,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -37,6 +34,7 @@ class FakeSource : public PageSource {
   }
   bool ReadPage(PageId page, std::byte* out) const override {
     reads_.fetch_add(1, std::memory_order_relaxed);
+    if (read_delay_.count() > 0) std::this_thread::sleep_for(read_delay_);
     if (fail_reads_.load(std::memory_order_relaxed) > 0) {
       fail_reads_.fetch_sub(1, std::memory_order_relaxed);
       return false;
@@ -49,11 +47,14 @@ class FakeSource : public PageSource {
   void FailNextReads(int n) {
     fail_reads_.store(n, std::memory_order_relaxed);
   }
+  /// Every read takes at least this long (set before any pin).
+  void SetReadDelay(std::chrono::milliseconds delay) { read_delay_ = delay; }
 
  private:
   std::vector<std::vector<std::byte>> pages_;
   mutable std::atomic<int> reads_{0};
   mutable std::atomic<int> fail_reads_{0};
+  std::chrono::milliseconds read_delay_{0};
 };
 
 void ExpectPageBytes(const PagePin& pin) {
@@ -64,43 +65,19 @@ void ExpectPageBytes(const PagePin& pin) {
   }
 }
 
-/// Listener recording the OnFetchQueued / OnPageReady protocol.
-class CountingListener : public PageFetchListener {
- public:
-  void OnFetchQueued(PageId) override {
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void OnPageReady(PageId page) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ready_.push_back(page);
-    cv_.notify_all();
-  }
-
-  /// Blocks until `count` OnPageReady calls landed (5s safety net).
-  bool WaitForReady(size_t count) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, std::chrono::seconds(5),
-                        [&] { return ready_.size() >= count; });
-  }
-  std::vector<PageId> ready() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ready_;
-  }
-  int queued() const { return queued_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<PageId> ready_;
-  std::atomic<int> queued_{0};
-};
-
 constexpr uint32_t kPageLen = 256;
 
 BufferPoolOptions PoolOf(size_t pages) {
   BufferPoolOptions o;
   o.capacity_bytes = pages * kPageLen;
   return o;
+}
+
+/// Pins `page` once and reports whether it was already resident.
+bool PinHits(BufferPool& pool, PageId page) {
+  PagePin pin;
+  pool.Pin(page, &pin);
+  return pin.hit();
 }
 
 TEST(BufferPool, PinLoadsAndSecondPinHits) {
@@ -193,10 +170,12 @@ TEST(BufferPool, LRUEvictsLeastRecentlyPinned) {
     PagePin pin;
     pool.Pin(2, &pin);
   }
-  EXPECT_TRUE(pool.Resident(0));
-  EXPECT_FALSE(pool.Resident(1));
-  EXPECT_TRUE(pool.Resident(2));
   EXPECT_EQ(pool.stats().evictions, 1u);
+  // Check the residents first: a hit evicts nothing, the miss on page 1
+  // comes last.
+  EXPECT_TRUE(PinHits(pool, 0));
+  EXPECT_TRUE(PinHits(pool, 2));
+  EXPECT_FALSE(PinHits(pool, 1));
 }
 
 TEST(BufferPool, NoDirtyPagesEverAndEvictionNeverWritesBack) {
@@ -218,50 +197,6 @@ TEST(BufferPool, NoDirtyPagesEverAndEvictionNeverWritesBack) {
   PagePin pin;
   pool.Pin(0, &pin);
   ExpectPageBytes(pin);
-}
-
-TEST(BufferPool, RequestFetchAsyncExactlyOneReadyPerQueued) {
-  FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4));
-  auto listener = std::make_shared<CountingListener>();
-  ASSERT_FALSE(pool.Resident(2));
-  pool.RequestFetch(2, listener);
-  ASSERT_TRUE(listener->WaitForReady(1));
-  EXPECT_EQ(listener->ready().size(), 1u);
-  EXPECT_EQ(listener->ready()[0], 2u);
-  EXPECT_TRUE(pool.Resident(2));
-  EXPECT_EQ(pool.stats().fetch_requests, 1u);
-  // The async load counts as a fetch, and a later Pin is a hit.
-  PagePin pin;
-  pool.Pin(2, &pin);
-  EXPECT_TRUE(pin.hit());
-}
-
-TEST(BufferPool, RequestFetchResidentFiresInline) {
-  FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4));
-  {
-    PagePin pin;
-    pool.Pin(1, &pin);
-  }
-  auto listener = std::make_shared<CountingListener>();
-  pool.RequestFetch(1, listener);
-  // Inline completion: ready before any wait.
-  EXPECT_EQ(listener->ready().size(), 1u);
-  EXPECT_EQ(listener->ready()[0], 1u);
-}
-
-TEST(BufferPool, DuplicateFetchRequestsEachGetOneReady) {
-  FakeSource src(4, kPageLen);
-  BufferPool pool(&src, PoolOf(4));
-  auto l1 = std::make_shared<CountingListener>();
-  auto l2 = std::make_shared<CountingListener>();
-  pool.RequestFetch(3, l1);
-  pool.RequestFetch(3, l2);  // attaches to the in-flight load
-  ASSERT_TRUE(l1->WaitForReady(1));
-  ASSERT_TRUE(l2->WaitForReady(1));
-  EXPECT_EQ(l1->ready().size(), 1u);
-  EXPECT_EQ(l2->ready().size(), 1u);
 }
 
 TEST(BufferPool, PathologicallySmallPoolStaysCorrect) {
@@ -297,28 +232,47 @@ TEST(BufferPool, FailedReadFailsPinAndRetrySucceeds) {
   BufferPoolStats s = pool.stats();
   EXPECT_EQ(s.io_errors, 1u);
   EXPECT_EQ(s.resident_pages, 0u);  // the failed frame was reclaimed
-  EXPECT_FALSE(pool.Resident(0));
   // The failed page left the table, so a retry reads fresh and succeeds
   // (transient errors recover).
   PagePin pin;
   ASSERT_NE(pool.Pin(0, &pin), nullptr);
   EXPECT_FALSE(pin.failed());
+  EXPECT_FALSE(pin.hit());
+  EXPECT_EQ(src.reads(), 2);
   ExpectPageBytes(pin);
   EXPECT_EQ(pool.stats().io_errors, 1u);
 }
 
-TEST(BufferPool, FailedAsyncFetchStillFiresReadyAndCounts) {
+TEST(BufferPool, ConcurrentPinsOfColdPageShareOneRead) {
   FakeSource src(4, kPageLen);
+  // A slow read, so the other threads arrive while it is in flight and
+  // must wait for it rather than read the page again.
+  src.SetReadDelay(std::chrono::milliseconds(20));
   BufferPool pool(&src, PoolOf(4));
-  auto listener = std::make_shared<CountingListener>();
-  src.FailNextReads(1);
-  pool.RequestFetch(2, listener);
-  // The protocol owes exactly one OnPageReady per OnFetchQueued even
-  // when the read fails; the requeued task's next pin sees the error.
-  ASSERT_TRUE(listener->WaitForReady(1));
-  EXPECT_EQ(listener->ready().size(), 1u);
-  EXPECT_EQ(pool.stats().io_errors, 1u);
-  EXPECT_FALSE(pool.Resident(2));
+  constexpr int kThreads = 8;
+  std::vector<PagePin> pins(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      pool.Pin(3, &pins[t]);  // held until after the join
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(src.reads(), 1);
+  BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.fetch_requests, 1u);
+  EXPECT_EQ(s.hits + s.misses, static_cast<uint64_t>(kThreads));
+  EXPECT_EQ(s.resident_pages, 1u);
+  EXPECT_EQ(s.pinned_pages, 1u);
+  for (const PagePin& pin : pins) {
+    EXPECT_FALSE(pin.failed());
+    EXPECT_EQ(pin.data(), pins[0].data());  // one frame, shared
+    ExpectPageBytes(pin);
+  }
 }
 
 TEST(BufferPool, ConcurrentPinsOnFailedLoadAllFail) {

@@ -1,16 +1,15 @@
 // Serving-core integration of the paged storage layer: a quantum that
-// faults on a non-resident page parks the task (kPageWait) instead of
-// blocking its worker, and the BufferPool fetch thread requeues it.
-// Answers must stay byte-identical to the in-RAM engine throughout.
+// misses the buffer pool reads the page on its worker (BufferPool::Pin)
+// and goes on; no task parks. Answers must stay byte-identical to the
+// in-RAM engine throughout, and the scheduler's page_waits counts the
+// quanta that read pages.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <chrono>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "banks/engine.h"
@@ -53,7 +52,8 @@ struct PageWaitEnv {
     PagedStoreOptions save;
     save.page_size = 4u << 10;
     // Page every run (no resident short-run inlining): these tests are
-    // about the page-wait protocol, so all adjacency must fault.
+    // about quanta that read pages, so all adjacency must go through
+    // the pool.
     save.inline_run_bytes = 0;
     ok = PagedStore::Save(ram.data(), ram.prestige(), path, save);
     const auto terms = ram.index().SortedTerms();
@@ -112,8 +112,8 @@ TEST(PageWait, WorkerBackedPagedServingMatchesInRam) {
   ExpectSameAnswers(expect.answers, Drain(&sink));
 
   Scheduler::Stats stats = scheduler.Snapshot();
-  EXPECT_GT(stats.page_waits, 0u) << "tiny pool never parked a quantum";
-  EXPECT_EQ(stats.page_waiting, 0u);  // nothing left parked at the end
+  EXPECT_GT(stats.page_waits, 0u) << "no quantum read a page";
+  EXPECT_EQ(stats.page_waiting, 0u);  // no task ever parks
   EXPECT_GT(sink.final_metrics().page_misses, 0u);
 }
 
@@ -135,23 +135,14 @@ TEST(PageWait, ManualDrivePagedServingMatchesInRam) {
   subscribe.scheduler = &scheduler;
   Subscription sub = paged.Subscribe(Env().keywords, Algorithm::kBackwardMI,
                                      &sink, options, subscribe);
-  bool saw_parked_depth = false;
-  while (!sub.finished()) {
-    bool did_work = scheduler.DriveOne();
-    // A quantum that ends in a fault leaves the task parked until the
-    // fetch thread's OnPageReady; Snapshot must expose that depth.
-    if (scheduler.Snapshot().page_waiting > 0) saw_parked_depth = true;
-    if (!did_work) {
-      // Nothing runnable: the driver is NOT blocked — it just has no
-      // work until the fetch thread requeues the task.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
+  // Every call has work until the task finishes: a quantum that misses
+  // the pool reads the page itself, so the task never waits elsewhere.
+  while (!sub.finished()) ASSERT_TRUE(scheduler.DriveOne());
   EXPECT_EQ(sub.Wait(), SubscribeStatus::kCompleted);
   ExpectSameAnswers(expect.answers, Drain(&sink));
   Scheduler::Stats stats = scheduler.Snapshot();
   EXPECT_GT(stats.page_waits, 0u);
-  EXPECT_TRUE(saw_parked_depth) << "Snapshot never exposed page_waiting > 0";
+  EXPECT_GT(sink.final_metrics().page_misses, 0u);
 }
 
 TEST(PageWait, AllAlgorithmsMatchInRamUnderPaging) {
@@ -202,13 +193,16 @@ TEST(PageWait, ConcurrentPagedSubscriptionsAllComplete) {
     subs.push_back(paged.Subscribe(Env().keywords, Algorithm::kBidirectional,
                                    &sinks[i], options, subscribe));
   }
+  uint64_t page_misses = 0;
   for (size_t i = 0; i < kSubs; ++i) {
     ASSERT_EQ(subs[i].Wait(), SubscribeStatus::kCompleted) << "sub " << i;
     ExpectSameAnswers(expect.answers, Drain(&sinks[i]));
+    page_misses += sinks[i].final_metrics().page_misses;
   }
-  // All subscriptions contended for the same two-page pool, so parking
-  // must have happened across the set.
+  // All subscriptions contended for the same two-page pool, so quanta
+  // must have read pages across the set.
   EXPECT_GT(scheduler.Snapshot().page_waits, 0u);
+  EXPECT_GT(page_misses, 0u);
 }
 
 TEST(PageWait, DeadlineExpiryStillFiresOnPagedTasks) {
@@ -223,12 +217,12 @@ TEST(PageWait, DeadlineExpiryStillFiresOnPagedTasks) {
   QueueSink sink;
   SubscribeOptions subscribe;
   subscribe.scheduler = &scheduler;
-  subscribe.deadline_seconds = 1e-6;  // unmeetable under page faulting
+  subscribe.deadline_seconds = 1e-6;  // unmeetable under page reads
   Subscription sub = paged.Subscribe(Env().keywords, Algorithm::kBidirectional,
                                      &sink, options, subscribe);
   SubscribeStatus status = sub.Wait();
-  // The wheel-armed deadline must terminate the task even while it
-  // alternates between executing and page-wait parking.
+  // The scheduler's deadline must terminate the task even while its
+  // quanta read pages.
   EXPECT_EQ(status, SubscribeStatus::kDeadlineExpired);
   EXPECT_EQ(scheduler.Snapshot().deadline_expired, 1u);
 }
@@ -247,14 +241,10 @@ TEST(PageWait, CancelWhileParkedTerminatesCleanly) {
   subscribe.scheduler = &scheduler;
   Subscription sub = paged.Subscribe(Env().keywords, Algorithm::kBidirectional,
                                      &sink, options, subscribe);
-  // Run a few quanta so the task acquires its context and likely parks.
+  // Run a few quanta so the task acquires its context and reads pages.
   for (int i = 0; i < 4; ++i) scheduler.DriveOne();
   sub.Cancel();
-  while (!sub.finished()) {
-    if (!scheduler.DriveOne()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
+  while (!sub.finished()) ASSERT_TRUE(scheduler.DriveOne());
   SubscribeStatus status = sub.Wait();
   EXPECT_TRUE(status == SubscribeStatus::kCancelled ||
               status == SubscribeStatus::kCompleted)

@@ -34,8 +34,8 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
-/// Execution-independent metric comparison: page_hits/page_misses/
-/// page_waits and timing fields are deliberately excluded (metrics.h).
+/// Execution-independent metric comparison: page_hits/page_misses and
+/// timing fields are deliberately excluded (metrics.h).
 void ExpectSameDeterministicMetrics(const SearchMetrics& a,
                                     const SearchMetrics& b) {
   EXPECT_EQ(a.nodes_explored, b.nodes_explored);
@@ -220,10 +220,9 @@ TEST(PagedStore, OversizedRunsGetDedicatedPages) {
 // ---------------------------------------------------------------------
 
 // kServedOnePage runs the paged side as concurrent scheduler
-// subscriptions with the page-wait protocol on, one expansion per
-// quantum, over a one-page pool: nearly every pop probes a missing page
-// and parks on kPageWait, and the subscriptions keep evicting each
-// other's fetched page, so retries run into the thrash escape.
+// subscriptions, one expansion per quantum, over a one-page pool: nearly
+// every pop misses and reads its page on the worker, and the
+// subscriptions keep evicting each other's page.
 enum class PoolSize { kPathological, kQuarter, kAmple, kServedOnePage };
 
 struct DiffCase {
@@ -324,24 +323,23 @@ TEST_P(PagedDifferentialTest, PagedMatchesInRam) {
       subs.push_back(paged.Subscribe(queries[i % queries.size()], c.algorithm,
                                      &sinks[i], options, subscribe));
     }
-    uint64_t search_page_waits = 0;
+    uint64_t search_page_misses = 0;
     for (size_t i = 0; i < subscriptions; ++i) {
       ASSERT_EQ(subs[i].Wait(), SubscribeStatus::kCompleted);
       SearchResult got;
       AnswerTree answer;
       while (sinks[i].TryPop(&answer)) got.answers.push_back(answer);
       got.metrics = sinks[i].final_metrics();
-      search_page_waits += got.metrics.page_waits;
+      search_page_misses += got.metrics.page_misses;
       ExpectSameResult(Env().ram.Query(queries[i % queries.size()],
                                        c.algorithm, options),
                        got);
     }
-    // The scheduler counts every page-fault quantum, parked or requeued
-    // at once because its fetch had already landed: exactly the faults
-    // the searches counted.
-    EXPECT_EQ(scheduler.Snapshot().page_waits, search_page_waits);
+    // Quanta read their pages on the workers: the one-page pool made
+    // the searches miss, and the scheduler counted the quanta that did.
+    EXPECT_GT(search_page_misses, 0u) << "one-page pool never missed";
     EXPECT_GT(scheduler.Snapshot().page_waits, 0u)
-        << "one-page pool never faulted a quantum";
+        << "no quantum read a page";
     return;
   }
   for (const auto& keywords : Env().queries) {
@@ -461,7 +459,6 @@ TEST(PagedStore, SearchMetricsCountPageTraffic) {
       Env().ram.Query(Env().queries[0], Algorithm::kBidirectional, {});
   EXPECT_EQ(ram_r.metrics.page_hits, 0u);
   EXPECT_EQ(ram_r.metrics.page_misses, 0u);
-  EXPECT_EQ(ram_r.metrics.page_waits, 0u);
 }
 
 TEST(PagedStore, SaveWithoutPrestigeStillOpens) {
